@@ -19,7 +19,7 @@
          (sync cost: unchanged vs mutated snapshots)
      E8-throughput  the gRNA service layer: closed-loop concurrent TCP
          clients over the query server, QPS + latency percentiles
-         sweeping client count x worker domains (BENCH_E8.json)
+         sweeping the client count (BENCH_E8.json)
 
    Bechamel micro-benchmarks cover E1-E4, E6 and E8 at a fixed scale; the
    sweep tables for E5-E7 are printed afterwards. *)
@@ -513,23 +513,20 @@ let print_e7 () =
     [ 30; 100; 300; 1000 ]
 
 (* ------------------------------------------------------------------ *)
-(* E6-scaling: domain-pool parallelism (harvest + Fig. 8/9/11 mix)     *)
+(* E6-scaling: domain-pool parallelism in the Data Hounds harvest      *)
 (* ------------------------------------------------------------------ *)
 
+(* Queries always run one sequential plan; the harvest is the one path
+   that fans out across the domain pool. *)
 let scaling_jobs = [ 1; 2; 4; 8 ]
 
 let print_e6_scaling () =
   print_newline ();
   Printf.printf
-    "E6-scaling: harvest + Fig. 8/9/11 mix across domain counts (scale=%d, host cores=%d)\n"
+    "E6-scaling: ENZYME harvest across domain counts (scale=%d, host cores=%d)\n"
     scale
     (Domain.recommended_domain_count ());
   warn_if_single_core "E6-scaling";
-  Printf.printf
-    "  planner goes parallel for scans of >= %s rows (XOMATIQ_PAR_THRESHOLD)\n"
-    (match Sys.getenv_opt "XOMATIQ_PAR_THRESHOLD" with
-     | Some s when String.trim s <> "" -> s
-     | _ -> "2000");
   Printf.printf "%-22s" "workload";
   List.iter (fun j -> Printf.printf " %10s" (Printf.sprintf "j=%d (ms)" j)) scaling_jobs;
   Printf.printf " %10s %7s\n" "speedup@4" "eff@4";
@@ -544,50 +541,25 @@ let print_e6_scaling () =
      | Error m -> failwith m);
     Datahounds.Warehouse.close wh
   in
-  let row name f =
-    let times =
-      List.map
-        (fun j -> (j, time_median (fun () -> Conc.Pool.with_jobs j f)))
-        scaling_jobs
-    in
-    let t1 = List.assoc 1 times in
-    Printf.printf "%-22s" name;
-    List.iter (fun (_, t) -> Printf.printf " %10.2f" (ms t)) times;
-    (match List.assoc_opt 4 times with
-     | Some t4 ->
-       Printf.printf " %9.2fx %6.0f%%\n" (t1 /. t4) (100. *. t1 /. t4 /. 4.)
-     | None -> print_newline ());
-    (name, times)
-  in
-  let harvest_row = row "harvest/enzyme-flat" harvest_once in
-  let query_rows =
+  let name = "harvest/enzyme-flat" in
+  let times =
     List.map
-      (fun (name, ast) ->
-        row name (fun () -> ignore (Xomatiq.Engine.run warehouse ast)))
-      asts
+      (fun j -> (j, time_median (fun () -> Conc.Pool.with_jobs j harvest_once)))
+      scaling_jobs
   in
-  let rows = harvest_row :: query_rows in
+  let t1 = List.assoc 1 times in
+  Printf.printf "%-22s" name;
+  List.iter (fun (_, t) -> Printf.printf " %10.2f" (ms t)) times;
+  (match List.assoc_opt 4 times with
+   | Some t4 ->
+     Printf.printf " %9.2fx %6.0f%%\n" (t1 /. t4) (100. *. t1 /. t4 /. 4.)
+   | None -> print_newline ());
   (* machine-readable trajectory for future PRs to diff against *)
-  let json_times times fmt =
+  let speedups = List.map (fun (j, t) -> (j, t1 /. t)) times in
+  let json_of fmt pairs =
     "{"
-    ^ String.concat ", " (List.map (fun (j, v) -> Printf.sprintf fmt j v) times)
+    ^ String.concat ", " (List.map (fun (j, v) -> Printf.sprintf fmt j v) pairs)
     ^ "}"
-  in
-  let workload_json (name, times) =
-    let t1 = List.assoc 1 times in
-    let speedups = List.map (fun (j, t) -> (j, t1 /. t)) times in
-    let efficiencies =
-      List.map (fun (j, s) -> (j, s /. float_of_int j)) speedups
-    in
-    Printf.sprintf
-      "    { \"name\": %S,\n\
-      \      \"seconds\": %s,\n\
-      \      \"speedup\": %s,\n\
-      \      \"efficiency\": %s }"
-      name
-      (json_times times "\"%d\": %.6f")
-      (json_times speedups "\"%d\": %.3f")
-      (json_times efficiencies "\"%d\": %.3f")
   in
   let json =
     Printf.sprintf
@@ -596,16 +568,20 @@ let print_e6_scaling () =
       \  \"generated_by\": \"bench/main.ml\",\n\
       \  \"scale\": %d,\n\
       \  \"host_cores\": %d,\n\
-      \  \"par_threshold\": %s,\n\
       \  \"jobs\": [%s],\n\
-      \  \"workloads\": [\n%s\n  ]\n}\n"
+      \  \"workloads\": [\n\
+      \    { \"name\": %S,\n\
+      \      \"seconds\": %s,\n\
+      \      \"speedup\": %s,\n\
+      \      \"efficiency\": %s }\n  ]\n}\n"
       scale
       (Domain.recommended_domain_count ())
-      (match Sys.getenv_opt "XOMATIQ_PAR_THRESHOLD" with
-       | Some s when int_of_string_opt (String.trim s) <> None -> String.trim s
-       | _ -> "2000")
       (String.concat ", " (List.map string_of_int scaling_jobs))
-      (String.concat ",\n" (List.map workload_json rows))
+      name
+      (json_of "\"%d\": %.6f" times)
+      (json_of "\"%d\": %.3f" speedups)
+      (json_of "\"%d\": %.3f"
+         (List.map (fun (j, sp) -> (j, sp /. float_of_int j)) speedups))
   in
   let path =
     match Sys.getenv_opt "XOMATIQ_BENCH_JSON" with
@@ -662,7 +638,8 @@ let print_e9 () =
 
 (* The Fig. 8/9/11 region predicates (doc = doc AND lo < pos <= hi)
    executed as hash join on doc_id + containment filter before the
-   structural merge join existed; XOMATIQ_STRUCTURAL_JOIN=0 still plans
+   structural merge join existed; with the structural join off
+   ([Rdb.Planner.with_structural_join false]) the planner still plans
    them that way. This sweep times both physical strategies on the same
    warehouses and checks the results stay equal.
 
@@ -676,9 +653,7 @@ let print_e9 () =
    R^2 candidate pairs per doc and filters them down to R, while the
    stack-based merge walks both sorted lists once. *)
 
-let with_structural enabled f =
-  Unix.putenv "XOMATIQ_STRUCTURAL_JOIN" (if enabled then "1" else "0");
-  Fun.protect ~finally:(fun () -> Unix.putenv "XOMATIQ_STRUCTURAL_JOIN" "") f
+let with_structural = Rdb.Planner.with_structural_join
 
 let e7_docs =
   try int_of_string (Sys.getenv "XOMATIQ_BENCH_E7_DOCS") with Not_found -> 40
@@ -774,7 +749,7 @@ let print_e7_structural () =
       \  \"experiment\": \"E7-structural\",\n\
       \  \"generated_by\": \"bench/main.ml\",\n\
       \  \"host_cores\": %d,\n\
-      \  \"baseline\": \"XOMATIQ_STRUCTURAL_JOIN=0 (hash join on doc_id + containment filter)\",\n\
+      \  \"baseline\": \"structural join off (hash join on doc_id + containment filter)\",\n\
       \  \"scale_kind\": \"region_density (catalytic_activity elements per enzyme doc)\",\n\
       \  \"documents\": %d,\n\
       \  \"scales\": [%s],\n\
@@ -802,7 +777,7 @@ let print_e7_structural () =
 (* The vectorized executor (XOMATIQ_VEC=1, the default) runs the same
    physical plans over 1-4K-row column batches after the rewrite pass;
    XOMATIQ_VEC=0 is the row-at-a-time iterator reference. This sweep
-   times both at jobs=1 on the E7 density warehouses (Fig. 9's subtree
+   times both on the E7 density warehouses (Fig. 9's subtree
    containment, where per-row iterator overhead dominates at high
    density) and on the E1-E3 figure mix at the default scale, checking
    results stay equal. *)
@@ -818,7 +793,7 @@ let print_e9_vectorized () =
   in
   print_newline ();
   Printf.printf
-    "E9-vectorized: batch executor vs iterator baseline (jobs=1)\n";
+    "E9-vectorized: batch executor vs iterator baseline\n";
   Printf.printf
     "density sweep: %d enzyme docs, Fig. 9 subtree; mix: %d docs/source\n"
     e7_docs scale;
@@ -827,7 +802,6 @@ let print_e9_vectorized () =
   Printf.printf "%s\n" (String.make 70 '-');
   let fig9_ast = List.assoc "E2-subtree-fig9" asts in
   let measure wh ast =
-    Conc.Pool.with_jobs 1 @@ fun () ->
     let iter_rows = with_vec "0" (fun () -> (Xomatiq.Engine.run wh ast).Xomatiq.Engine.rows) in
     let batch_rows = with_vec "1" (fun () -> (Xomatiq.Engine.run wh ast).Xomatiq.Engine.rows) in
     if iter_rows <> batch_rows then
@@ -907,7 +881,6 @@ let print_e9_vectorized () =
       \  \"generated_by\": \"bench/main.ml\",\n\
       \  \"host_cores\": %d,\n\
       \  \"baseline\": \"XOMATIQ_VEC=0 (row-at-a-time iterator executor)\",\n\
-      \  \"jobs\": 1,\n\
       \  \"documents\": %d,\n\
       \  \"scales\": [%s],\n\
       \  \"density_sweep\": {\n\
@@ -943,9 +916,8 @@ let print_e9_vectorized () =
 (* Closed-loop multi-client benchmark against an in-process TCP server:
    each client thread connects, then fires the Fig. 8/9/11 query mix
    back to back for a fixed wall-clock window, recording per-request
-   latency. Sweeping client count x worker domains shows where the
-   service scales (pool-parallel execution) and where it serializes
-   (jobs=1: every session executes inline under the runtime lock). *)
+   latency. Sweeping the client count shows where the service
+   serializes: cheap queries run inline on the one reactor thread. *)
 
 let e8t_duration =
   match Sys.getenv_opt "XOMATIQ_BENCH_E8_SECS" with
@@ -1044,8 +1016,7 @@ let e8t_idle_cells () =
   let idle_levels = if smoke then [ 0; 100 ] else [ 0; 100; 1000 ] in
   ignore (Conc.Reactor.raise_fd_limit 8192);
   Printf.printf
-    "\nE8-idle: 1 active closed-loop client among parked idle connections \
-     (jobs=1)\n";
+    "\nE8-idle: 1 active closed-loop client among parked idle connections\n";
   Printf.printf "%-8s %9s %9s %10s %10s %9s\n" "idle" "requests" "QPS"
     "p50 (ms)" "p95 (ms)" "threads+";
   Printf.printf "%s\n" (String.make 60 '-');
@@ -1114,7 +1085,7 @@ let e8t_idle_cells () =
    SQL probes whose execution is a few microseconds. (The Fig. 8/9/11
    FLWR queries spend 50-160 us in the engine per request, which caps
    even a perfect pipeline below 1.4x and says nothing about the wire;
-   the jobs x clients table already covers them.) W=8 must clear 1.3x of
+   the clients table already covers them.) W=8 must clear 1.3x of
    the W=1 QPS. *)
 let e8t_pipeline_cells () =
   let windows = [ 1; 8; 32 ] in
@@ -1125,8 +1096,7 @@ let e8t_pipeline_cells () =
     List.init 64 (fun i -> cheap.(i mod Array.length cheap))
   in
   Printf.printf
-    "\nE8-pipeline: xomatiq/1 pipelining, protocol-bound SQL mix, 1 client \
-     (jobs=1)\n";
+    "\nE8-pipeline: xomatiq/1 pipelining, protocol-bound SQL mix, 1 client\n";
   Printf.printf "%-8s %9s %9s\n" "window" "requests" "QPS";
   Printf.printf "%s\n" (String.make 30 '-');
   let cfg =
@@ -1181,73 +1151,40 @@ let e8t_pipeline_cells () =
 let print_e8_throughput () =
   let smoke = Sys.getenv_opt "XOMATIQ_BENCH_SMOKE" <> None in
   let client_counts = if smoke then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
-  (* smoke includes jobs=1 AND jobs=2 so CI can assert the adaptive
-     scheduler keeps jobs=2 within 0.8x of the jobs=1 single-client QPS
-     (the regression that motivated it: unconditional dispatch dropped
-     jobs=2 single-client throughput by ~7x) *)
-  let jobs_levels = if smoke then [ 1; 2 ] else [ 1; 2; 4 ] in
+  (* every query runs one sequential plan, so the worker-domain count
+     changes nothing here; pin it so no harvest pool lingers *)
   let saved_jobs = Conc.Pool.jobs () in
+  Conc.Pool.set_jobs 1;
   print_newline ();
   Printf.printf
     "E8-throughput: concurrent TCP query service, closed-loop clients (%.1fs per cell)\n"
     e8t_duration;
-  warn_if_single_core "E8-throughput";
-  Printf.printf "%-6s %-8s %9s %9s %10s %10s %10s\n" "jobs" "clients"
-    "requests" "QPS" "p50 (ms)" "p95 (ms)" "p99 (ms)";
-  Printf.printf "%s\n" (String.make 68 '-');
+  Printf.printf "%-8s %9s %9s %10s %10s %10s\n" "clients" "requests" "QPS"
+    "p50 (ms)" "p95 (ms)" "p99 (ms)";
+  Printf.printf "%s\n" (String.make 61 '-');
   let cfg = { Xserver.Server.default_config with host = "127.0.0.1"; port = 0 } in
+  let server = Xserver.Server.start cfg warehouse in
+  let port = Xserver.Server.port server in
   let cells =
-    List.concat_map
-      (fun jobs ->
-        Conc.Pool.set_jobs jobs;
-        let server = Xserver.Server.start cfg warehouse in
-        let port = Xserver.Server.port server in
-        let rows =
-          List.map
-            (fun clients ->
-              let requests, qps, p50, p95, p99 = e8t_cell port ~clients in
-              Printf.printf "%-6d %-8d %9d %9.1f %10.3f %10.3f %10.3f\n%!"
-                jobs clients requests qps (ms p50) (ms p95) (ms p99);
-              (jobs, clients, requests, qps, p50, p95, p99))
-            client_counts
-        in
-        Xserver.Server.request_stop server;
-        Xserver.Server.wait server;
-        rows)
-      jobs_levels
+    List.map
+      (fun clients ->
+        let requests, qps, p50, p95, p99 = e8t_cell port ~clients in
+        Printf.printf "%-8d %9d %9.1f %10.3f %10.3f %10.3f\n%!" clients
+          requests qps (ms p50) (ms p95) (ms p99);
+        (clients, requests, qps, p50, p95, p99))
+      client_counts
   in
-  Conc.Pool.set_jobs saved_jobs;
-  (* The E8 acceptance bar: granting workers must never cost a lone
-     client its throughput. Any jobs>1 cell must stay within 0.8x of the
-     jobs=1 QPS at the same client count. *)
-  let qps_at jobs clients =
-    List.find_map
-      (fun (j, c, _, qps, _, _, _) ->
-        if j = jobs && c = clients then Some qps else None)
-      cells
-  in
-  List.iter
-    (fun (jobs, clients, _, qps, _, _, _) ->
-      if jobs > 1 then
-        match qps_at 1 clients with
-        | Some base when qps < 0.8 *. base ->
-          failwith
-            (Printf.sprintf
-               "E8-throughput regression: jobs=%d clients=%d runs at %.1f \
-                QPS, below 0.8x of the jobs=1 baseline (%.1f QPS)"
-               jobs clients qps base)
-        | _ -> ())
-    cells;
+  Xserver.Server.request_stop server;
+  Xserver.Server.wait server;
   (* the reactor-era axes: parked connections and pipelining *)
-  Conc.Pool.set_jobs 1;
   let idle_cells = e8t_idle_cells () in
   let pipeline_cells = e8t_pipeline_cells () in
   Conc.Pool.set_jobs saved_jobs;
-  let cell_json (jobs, clients, requests, qps, p50, p95, p99) =
+  let cell_json (clients, requests, qps, p50, p95, p99) =
     Printf.sprintf
-      "    { \"jobs\": %d, \"clients\": %d, \"requests\": %d, \"qps\": %.2f, \
+      "    { \"clients\": %d, \"requests\": %d, \"qps\": %.2f, \
        \"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f }"
-      jobs clients requests qps (ms p50) (ms p95) (ms p99)
+      clients requests qps (ms p50) (ms p95) (ms p99)
   in
   let idle_cell_json (idle, requests, qps, p50, p95, thread_delta) =
     Printf.sprintf
@@ -1905,7 +1842,7 @@ let () =
     print_e5 ();
     print_e5_analyze ();
     print_e5_cache ();
-    (* exercise the parallel scan/join/harvest paths even at smoke scale *)
+    (* exercise the parallel harvest path even at smoke scale *)
     print_e6_scaling ();
     print_e7_structural ();
     print_e8_throughput ();

@@ -93,9 +93,9 @@ let file_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for parallel query execution and parallel loading \
-     (default: $(b,XOMATIQ_JOBS), else the machine's core count). \
-     1 forces the sequential paths."
+    "Worker domains for parallel Data Hounds loading (default: \
+     $(b,XOMATIQ_JOBS), else the machine's core count). 1 forces the \
+     sequential load path. Queries always run one sequential plan."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -280,8 +280,7 @@ let dtd_cmd =
   Cmd.v (Cmd.info "dtd" ~doc) Term.(ret (const run $ db_arg $ coll_arg))
 
 let query_cmd =
-  let run db format from_file profile cache_stats jobs metrics_json query_text =
-    apply_jobs jobs;
+  let run db format from_file profile cache_stats metrics_json query_text =
     with_warehouse db @@ fun wh ->
     let text =
       match from_file with
@@ -344,11 +343,10 @@ let query_cmd =
   let doc = "Run a XomatiQ FLWR query against the warehouse." in
   Cmd.v (Cmd.info "query" ~doc)
     Term.(ret (const run $ db_arg $ format_arg $ from_file_arg $ profile_arg
-               $ cache_stats_arg $ jobs_arg $ metrics_json_arg $ text_arg))
+               $ cache_stats_arg $ metrics_json_arg $ text_arg))
 
 let explain_cmd =
-  let run db analyze jobs query_text =
-    apply_jobs jobs;
+  let run db analyze query_text =
     with_warehouse db @@ fun wh ->
     match Xomatiq.Parser.parse query_text with
     | q ->
@@ -368,7 +366,7 @@ let explain_cmd =
   in
   let doc = "Show the SQL translation and the relational physical plan." in
   Cmd.v (Cmd.info "explain" ~doc)
-    Term.(ret (const run $ db_arg $ analyze_arg $ jobs_arg $ text_arg))
+    Term.(ret (const run $ db_arg $ analyze_arg $ text_arg))
 
 let sql_cmd =
   let run db statement =
@@ -569,8 +567,7 @@ let stats_cmd =
   Cmd.v (Cmd.info "stats" ~doc) Term.(const run $ db_arg)
 
 let shell_cmd =
-  let run db jobs =
-    apply_jobs jobs;
+  let run db =
     with_warehouse db @@ fun wh ->
     let format = ref "table" in
     (* Errors go to stderr so piped output stays clean, and any failed
@@ -597,7 +594,6 @@ let shell_cmd =
         \  :sql STATEMENT;       run raw SQL\n\
         \  :explain QUERY;       show translation + physical plan\n\
         \  :format table|xml     choose result rendering\n\
-        \  :jobs [N]             show or set the worker-domain count\n\
         \  :cache                translated-plan cache hit/miss counters\n\
         \  :quit                 leave\n"
     in
@@ -652,14 +648,6 @@ let shell_cmd =
           | ":format" :: f :: _ ->
             if f = "table" || f = "xml" then format := f
             else print_endline "format is 'table' or 'xml'"
-          | [ ":jobs" ] | ":jobs" :: "" :: _ ->
-            Printf.printf "jobs: %d\n" (Conc.Pool.jobs ())
-          | ":jobs" :: n :: _ ->
-            (match int_of_string_opt n with
-             | Some n when n >= 1 ->
-               Conc.Pool.set_jobs n;
-               Printf.printf "jobs: %d\n" (Conc.Pool.jobs ())
-             | _ -> print_endline "usage: :jobs N  (N >= 1)")
           | ":cache" :: _ ->
             let hits, misses = Xomatiq.Engine.cache_stats () in
             Printf.printf "plan cache: %d hit(s), %d miss(es)\n" hits misses
@@ -694,7 +682,7 @@ let shell_cmd =
     else `Ok ()
   in
   let doc = "Interactive query shell over a warehouse ('; ' terminates queries)." in
-  Cmd.v (Cmd.info "shell" ~doc) Term.(ret (const run $ db_arg $ jobs_arg))
+  Cmd.v (Cmd.info "shell" ~doc) Term.(ret (const run $ db_arg))
 
 (* ---------------- the gRNA service layer ---------------- *)
 
@@ -905,7 +893,6 @@ let connect_cmd =
           \  :analyze QUERY;       EXPLAIN ANALYZE (executes the query)\n\
           \  :format table|xml     choose result rendering (session)\n\
           \  :strategy keyword|like  contains() rewrite strategy (session)\n\
-          \  :jobs [N|default]     show or set the worker-domain count\n\
           \  :cache                translated-plan cache hit/miss counters\n\
           \  :metrics              full server metrics snapshot (JSON)\n\
           \  :ping                 round-trip liveness probe\n\
@@ -988,8 +975,6 @@ let connect_cmd =
             | ":help" :: _ -> help ()
             | ":format" :: f :: _ -> set "format" f
             | ":strategy" :: s :: _ -> set "strategy" s
-            | [ ":jobs" ] -> set "jobs" ""
-            | ":jobs" :: n :: _ -> set "jobs" n
             | ":ping" :: _ ->
               guard (fun () -> ignore (Xserver.Client.ping c "ping"); print_endline "pong")
             | ":metrics" :: _ ->

@@ -13,7 +13,6 @@ type t = {
   queue : task Queue.t;
   mutable stopping : bool;
   mutable workers : unit Domain.t list;
-  mutable busy : int;  (* workers currently executing a task *)
   total : int;  (* workers + the helping caller *)
 }
 
@@ -43,15 +42,11 @@ let worker_loop t () =
       Condition.wait t.nonempty t.lock
     done;
     let task = Queue.take_opt t.queue in
-    (match task with Some _ -> t.busy <- t.busy + 1 | None -> ());
     Mutex.unlock t.lock;
     match task with
     | Some task ->
       (* tasks are [run_task] closures and never raise *)
       task ();
-      Mutex.lock t.lock;
-      t.busy <- t.busy - 1;
-      Mutex.unlock t.lock;
       next ()
     | None -> ()  (* stopping and drained *)
   in
@@ -61,8 +56,7 @@ let create n =
   let total = max 1 n in
   let t =
     { lock = Mutex.create (); nonempty = Condition.create ();
-      queue = Queue.create (); stopping = false; workers = []; busy = 0;
-      total }
+      queue = Queue.create (); stopping = false; workers = []; total }
   in
   t.workers <- List.init (total - 1) (fun _ -> Domain.spawn (worker_loop t));
   t
@@ -120,33 +114,6 @@ let rec await t fut =
        Mutex.unlock fut.f_lock;
        await t fut)
 
-let poll fut =
-  match fut.f_state with Pending -> false | Done _ | Failed _ -> true
-
-(* Idle worker domains: the fan-out headroom a new Exchange would
-   actually get. Queued-but-unstarted tasks count against it — they will
-   claim a worker before any partition submitted after them. Advisory
-   (check-then-act, no reservation): a rare over-grant just means two
-   fan-outs share the workers, which is the pre-adaptive behaviour. *)
-let available t =
-  Mutex.lock t.lock;
-  let n = (t.total - 1) - t.busy - Queue.length t.queue in
-  Mutex.unlock t.lock;
-  max 0 n
-
-(* Server sessions park here instead of [await]: a session thread must
-   keep watching its socket (deadlines, CANCEL frames) and must not pick
-   up arbitrary queued query work, so it waits on the future's condition
-   variable without helping. *)
-let await_blocking fut =
-  Mutex.lock fut.f_lock;
-  while fut.f_state = Pending do Condition.wait fut.f_cond fut.f_lock done;
-  Mutex.unlock fut.f_lock;
-  match fut.f_state with
-  | Done v -> v
-  | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-  | Pending -> assert false
-
 let parallel_map t f xs =
   if t.total <= 1 then List.map f xs
   else begin
@@ -154,16 +121,6 @@ let parallel_map t f xs =
     (* award in input order so the first failure (by input position) is
        the one re-raised — matching what sequential evaluation reports *)
     List.map (await t) futs
-  end
-
-let parallel_chunks t ~n f =
-  if n <= 0 then []
-  else begin
-    let parts = min (max 1 t.total) n in
-    let bounds =
-      List.init parts (fun i -> (i * n / parts, (i + 1) * n / parts))
-    in
-    parallel_map t (fun (lo, hi) -> f lo hi) bounds
   end
 
 (* ---------------- the process-global pool ---------------- *)
@@ -179,31 +136,18 @@ let default_jobs () =
   | None -> clamp_jobs (Domain.recommended_domain_count ())
 
 (* The global pool is created lazily so processes that never go parallel
-   never spawn domains. Guarded by a lock: the stress tests hammer
-   queries from several domains at once. *)
+   never spawn domains. Guarded by a lock: harvests may run from several
+   threads at once. *)
 let glock = Mutex.create ()
 let gtarget = ref None      (* requested jobs; None = use default_jobs () *)
 let gpool = ref None
 
 let default_jobs_memo = lazy (default_jobs ())
 
-(* The effective job count is read on every query (plan-cache key,
-   session jobs sync, scheduling decisions), so it is mirrored into an
-   atomic: readers never touch [glock]. 0 means "not computed yet". *)
-let gjobs = Atomic.make 0
-
 let effective_target target =
   match target with Some n -> n | None -> Lazy.force default_jobs_memo
 
-let jobs () =
-  match Atomic.get gjobs with
-  | 0 ->
-    Mutex.lock glock;
-    let n = effective_target !gtarget in
-    Atomic.set gjobs n;
-    Mutex.unlock glock;
-    n
-  | n -> n
+let jobs () = Mutex.protect glock (fun () -> effective_target !gtarget)
 
 let get () =
   Mutex.lock glock;
@@ -220,21 +164,10 @@ let get () =
   Mutex.unlock glock;
   pool
 
-(* Look, don't touch: the adaptive scheduler's Exchange gate asks "is
-   there a pool with an idle worker" without forcing worker domains into
-   existence — on a host without spare cores, resident idle domains tax
-   every query through the stop-the-world GC rendezvous. *)
-let peek () =
-  Mutex.lock glock;
-  let p = !gpool in
-  Mutex.unlock glock;
-  p
-
 let set_jobs n =
   let n = clamp_jobs n in
   Mutex.lock glock;
   gtarget := Some n;
-  Atomic.set gjobs n;
   (match !gpool with
    | Some p when size p <> n ->
      gpool := None;
@@ -247,15 +180,9 @@ let with_jobs n f =
   let saved = !gtarget in
   Mutex.unlock glock;
   set_jobs n;
-  (* A scoped override is an explicit request for [n]-way parallelism
-     right now (tests, benches): force the pool into existence so the
-     adaptive Exchange gate — which only {!peek}s — can grant workers
-     even on a single-core host. *)
-  if clamp_jobs n > 1 then ignore (get ());
   let restore () =
     Mutex.lock glock;
     gtarget := saved;
-    Atomic.set gjobs (effective_target saved);
     let stale =
       match !gpool with
       | Some p when size p <> effective_target saved ->

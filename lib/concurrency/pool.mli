@@ -1,12 +1,10 @@
-(** A fixed-size pool of OCaml 5 domains with a shared work queue and
-    futures.
+(** A fixed-size pool of OCaml 5 domains with a shared work queue.
 
-    The pool is the single concurrency primitive of the engine: the
-    executor's [Exchange] operator and the Data Hounds parallel harvest
-    both fan work out through it. A pool of size [n] runs at most [n]
-    tasks at once: [n - 1] resident worker domains plus the caller,
-    which "helps" by running queued tasks while it waits on a future —
-    so nested [parallel_map] calls from inside a task cannot deadlock.
+    The Data Hounds parallel harvest fans its parse, validate and shred
+    work out through it; queries never use it. A pool of size [n] runs
+    at most [n] tasks at once: [n - 1] resident worker domains plus the
+    caller, which "helps" by running queued tasks while it waits — so
+    nested [parallel_map] calls from inside a task cannot deadlock.
 
     The [jobs] setting (CLI [--jobs N] / [XOMATIQ_JOBS]) governs a
     process-global pool, created lazily and resized on demand. Parallel
@@ -16,67 +14,18 @@
 type t
 (** A pool of worker domains. *)
 
-val create : int -> t
-(** [create n] makes a pool of total size [max 1 n]: [n - 1] worker
-    domains are spawned immediately and live until {!shutdown}. *)
-
-val size : t -> int
-(** Total parallelism of the pool (worker domains + the helping caller). *)
-
-val shutdown : t -> unit
-(** Drain nothing, finish running tasks, join all worker domains.
-    Idempotent. Submitting to a shut-down pool runs tasks inline. *)
-
-type 'a future
-
-val submit : t -> (unit -> 'a) -> 'a future
-(** Enqueue a task; it runs on any pool domain (or on a caller inside
-    {!await}). Exceptions are captured and re-raised by {!await}. *)
-
-val await : t -> 'a future -> 'a
-(** Block until the future is resolved, running other queued tasks while
-    waiting. Re-raises the task's exception (with its backtrace) if it
-    failed. *)
-
-val poll : 'a future -> bool
-(** True once the future is resolved (with a value or an exception);
-    never blocks. The query server's session loop polls between socket
-    [select]s so it can watch for CANCEL frames and deadlines while its
-    query runs on the pool. *)
-
-val available : t -> int
-(** Idle worker domains right now: workers neither executing a task nor
-    already promised to one sitting in the queue. Advisory — no
-    reservation is taken — and the basis of the scheduler's "workers
-    only when the pool is idle" grant ({!Sched.exchange_parallel}). *)
-
-val await_blocking : 'a future -> 'a
-(** Like {!await} but without helping: waits on the future's condition
-    variable only. For callers that must stay responsive to their own
-    events (server session threads) rather than pick up queued work —
-    note that a pool of size 1 resolves futures inline at {!submit}
-    time, so this never deadlocks there. *)
-
 val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Apply [f] to every element across the pool; results are returned in
     input order. The first exception (by input order) is re-raised.
     Sequential [List.map] when the pool size is 1. *)
 
-val parallel_chunks : t -> n:int -> (int -> int -> 'a) -> 'a list
-(** Split the range [\[0, n)] into at most [size t] contiguous chunks
-    and evaluate [f lo hi] for each across the pool; results come back
-    in range order. The chunking is deterministic for a given [n] and
-    pool size. *)
-
 (** {2 The process-global pool} *)
 
-val default_jobs : unit -> int
-(** [XOMATIQ_JOBS] when set to a positive integer, otherwise
-    [Domain.recommended_domain_count ()], clamped to [\[1, 64\]]. *)
-
 val jobs : unit -> int
-(** The effective jobs setting (the global pool's size). Planner
-    decisions and plan-cache keys depend on this value. *)
+(** The effective jobs setting (the global pool's size):
+    [XOMATIQ_JOBS] when set to a positive integer, otherwise
+    [Domain.recommended_domain_count ()], clamped to [\[1, 64\]], until
+    {!set_jobs} overrides it. *)
 
 val set_jobs : int -> unit
 (** Resize the global pool (shutting down the old one, if any). Values
@@ -85,15 +34,7 @@ val set_jobs : int -> unit
 val get : unit -> t
 (** The global pool, created lazily at the current jobs setting. *)
 
-val peek : unit -> t option
-(** The global pool if some call already created it, without creating
-    one. The adaptive scheduler's Exchange gate peeks so that a process
-    whose queries all run inline never spawns worker domains — resident
-    idle domains tax every query through the stop-the-world GC
-    rendezvous on hosts without spare cores. *)
-
 val with_jobs : int -> (unit -> 'a) -> 'a
 (** Run a thunk with the global jobs setting temporarily overridden
     (restored on exit, even on exceptions). Used by tests and benches to
-    pin a jobs level. An override above 1 creates the pool eagerly, so
-    adaptive Exchange gates (which only {!peek}) can grant workers. *)
+    pin a jobs level. *)

@@ -17,9 +17,8 @@ type t = {
   sel : int array option;   (** live row indices, ascending; [None] = all *)
 }
 
-val max_rows : unit -> int
-(** Target rows per batch: [XOMATIQ_VEC_BATCH], default 1024, clamped to
-    [1, 4096]. *)
+val max_rows : int
+(** Target rows per batch: 1024. *)
 
 val arity : t -> int
 val live : t -> int

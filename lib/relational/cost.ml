@@ -197,13 +197,8 @@ let estimate cat plan =
     let e, prov =
       match node with
       | Plan.Single_row -> ({ est_rows = 1.; est_cost = 0. }, [||])
-      | Plan.Seq_scan { table; filter; part } ->
+      | Plan.Seq_scan { table; filter } ->
         let rows_t, prov, _ = table_info table in
-        let rows_t =
-          match part with
-          | Some (_, n) -> rows_t /. float_of_int (max 1 n)
-          | None -> rows_t
-        in
         note_exprs (opt [] filter);
         ( { est_rows = rows_t *. filter_sel prov filter;
             est_cost = rows_t +. 1. },
@@ -380,15 +375,6 @@ let estimate cat plan =
           | None -> after_offset
         in
         ({ est_rows = rows; est_cost = ei.est_cost }, prov)
-      | Plan.Exchange { inputs; workers = _ } ->
-        (* partitions of one logical operator: rows add up, and the cost
-           model stays wall-clock-agnostic (parallelism is a post-pass,
-           not something plans compete on) *)
-        let parts = List.map go inputs in
-        let rows = List.fold_left (fun a (e, _) -> a +. e.est_rows) 0. parts in
-        let cost = List.fold_left (fun a (e, _) -> a +. e.est_cost) 0. parts in
-        let prov = match parts with (_, p) :: _ -> p | [] -> [||] in
-        ({ est_rows = rows; est_cost = cost }, prov)
       | Plan.Structural_join
           { left; right; interval_on_left = _; left_doc; right_doc; lo; hi; pos;
             cond; _ } ->

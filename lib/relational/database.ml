@@ -493,13 +493,11 @@ let do_analyze t (stmt : Sql_ast.stmt) target =
     (Printf.sprintf "analyzed %d table%s" (List.length tables)
        (if List.length tables = 1 then "" else "s"))
 
-(* EXPLAIN footer surfacing the scheduler's plan-time decision: whether
-   this query would run on the session thread or request Exchange
-   workers, and why. *)
+(* EXPLAIN footer surfacing the server's lane for this plan: inline on
+   the reactor thread, or dispatched to a thread of its own. *)
 let sched_footer (planned : Planner.planned) =
   Printf.sprintf "Scheduler: %s est_cost=%.1f\n"
-    (Conc.Sched.decision_string
-       (Conc.Sched.plan_decision ~est_cost:planned.est_cost))
+    (Conc.Sched.lane_string (Conc.Sched.lane ~est_cost:planned.est_cost))
     planned.est_cost
 
 let rec execute_in (s : session) (stmt : Sql_ast.stmt) : result =

@@ -24,51 +24,6 @@ end
 
 module KeyTbl = Hashtbl.Make (Key)
 
-(* Adaptive grant for Exchange fan-out: on top of the static shape
-   checks (real partitions, a real pool), the scheduler's idle gate may
-   degrade a fan-out to sequential in-thread execution when every worker
-   is already occupied — queueing partitions behind other queries' work
-   only adds latency. Sequential and parallel execution of the same
-   Exchange are byte-identical; the counters make degradation visible in
-   METRICS. *)
-let m_par_granted = Obs.Counter.create ()
-let m_par_degraded = Obs.Counter.create ()
-
-let () =
-  Obs.register_counter "exec.parallel_granted" m_par_granted;
-  Obs.register_counter "exec.parallel_degraded" m_par_degraded
-
-(* Which pool, if any, an Exchange fan-out may run on. Static mode
-   forces the global pool into existence (the pre-adaptive behavior).
-   Adaptive mode borrows a pool that some other call already created —
-   and only creates one itself when the host has a spare core to run
-   worker domains on: resident domains on a single-core host tax every
-   query through the stop-the-world GC rendezvous without buying any
-   parallelism. *)
-let multicore = lazy (Domain.recommended_domain_count () > 1)
-
-let exchange_pool ~workers : Conc.Pool.t option =
-  if workers <= 1 || Conc.Pool.jobs () <= 1 then None
-  else begin
-    let candidate =
-      match Conc.Sched.mode () with
-      | Conc.Sched.Static -> Some (Conc.Pool.get ())
-      | Conc.Sched.Adaptive -> (
-        match Conc.Pool.peek () with
-        | Some _ as p -> p
-        | None -> if Lazy.force multicore then Some (Conc.Pool.get ()) else None)
-    in
-    match candidate with
-    | Some pool
-      when Conc.Pool.size pool > 1
-           && Conc.Sched.exchange_parallel pool ~workers ->
-      Obs.Counter.incr m_par_granted;
-      Some pool
-    | _ ->
-      Obs.Counter.incr m_par_degraded;
-      None
-  end
-
 (* Build table of the vectorized hash join. When the join key is a
    single column that stayed unboxed on the build side, the table keys
    on raw ints so neither build nor probe ever allocates a Value. *)
@@ -298,60 +253,6 @@ let key_array_sorted cmp arr =
   done;
   !ok
 
-(* Sequential or doc-range-chunked merge driver. Containment never
-   crosses documents, so the merge parallelises over doc ranges; the
-   caller's global pair sort keeps the output byte-identical at any
-   worker count. Returns the per-chunk [merge_range] results in doc
-   order. *)
-let structural_merge_chunks ~par ~n_ivl ~n_pt ~doc_of_ivl
-    ~doc_of_pt ~doc_cmp ~merge_range =
-  match par with
-  | None -> [ merge_range (0, n_ivl) (0, n_pt) ]
-  | Some pool -> begin
-    (* first point with doc >= d / doc > d *)
-    let pt_bound ~after d =
-      let lo_b = ref 0 and hi_b = ref n_pt in
-      while !lo_b < !hi_b do
-        let mid = (!lo_b + !hi_b) / 2 in
-        let c = doc_cmp (doc_of_pt mid) d in
-        if c < 0 || (c = 0 && after) then lo_b := mid + 1 else hi_b := mid
-      done;
-      !lo_b
-    in
-    (* cut the interval array into chunks of whole documents *)
-    let jobs = max 2 (Conc.Pool.size pool) in
-    let target = max 1 (n_ivl / jobs) in
-    let cuts = ref [ 0 ] in
-    let k = ref 0 in
-    while !k < n_ivl do
-      let next = min n_ivl (!k + target) in
-      (* extend to the end of the document straddling the cut *)
-      let e = ref next in
-      while
-        !e < n_ivl && doc_cmp (doc_of_ivl !e) (doc_of_ivl (next - 1)) = 0
-      do
-        incr e
-      done;
-      if !e < n_ivl then cuts := !e :: !cuts;
-      k := !e
-    done;
-    let cuts = Array.of_list (List.rev (n_ivl :: !cuts)) in
-    let chunks = ref [] in
-    for c = Array.length cuts - 2 downto 0 do
-      let a = cuts.(c) and b = cuts.(c + 1) in
-      if b > a then
-        chunks :=
-          ( (a, b),
-            ( pt_bound ~after:false (doc_of_ivl a),
-              pt_bound ~after:true (doc_of_ivl (b - 1)) ) )
-          :: !chunks
-    done;
-    match !chunks with
-    | [] | [ _ ] -> [ merge_range (0, n_ivl) (0, n_pt) ]
-    | chunks ->
-      Conc.Pool.parallel_map pool (fun (ir, jr) -> merge_range ir jr) chunks
-  end
-
 (* Int fast path — the XML region encoding always lands here (doc_id /
    node_id / last_desc are INTEGER columns), so the sort and merge run
    on unboxed int comparisons with no SQL re-verification (int total
@@ -369,11 +270,10 @@ let soa_sorted (doc : int array) (key : int array) n =
 let permute (p : int array) (a : int array) =
   Array.init (Array.length p) (fun k -> a.(p.(k)))
 
-let structural_merge_int ~par ~lo_incl ~hi_incl
+let structural_merge_int ~lo_incl ~hi_incl
     ~ivl:(iv_doc, iv_lo, iv_hi, iv_idx) ~pt:(pt_doc, pt_pos, pt_idx) :
     int array * int array =
   let n_ivl = Array.length iv_doc and n_pt = Array.length pt_doc in
-  let par = if n_ivl > 1 then par else None in
   let icmp (x : int) y = if x < y then -1 else if x > y then 1 else 0 in
   (* (doc, key) order, original index as final tie-break; inputs already
      in this order (e.g. a (doc_id, node_id) primary-key scan) skip the
@@ -409,113 +309,90 @@ let structural_merge_int ~par ~lo_incl ~hi_incl
       (permute p pt_doc, permute p pt_pos, permute p pt_idx)
     end
   in
-  let merge_range (i0, i1) (j0, j1) =
-    (* growable pair output *)
-    let cap0 = 64 in
-    let out_i = ref (Array.make cap0 0) and out_j = ref (Array.make cap0 0) in
-    let m = ref 0 in
-    let push_pair a b =
-      if !m = Array.length !out_i then begin
-        let nc = 2 * !m in
-        let a' = Array.make nc 0 and b' = Array.make nc 0 in
-        Array.blit !out_i 0 a' 0 !m;
-        Array.blit !out_j 0 b' 0 !m;
-        out_i := a';
-        out_j := b'
-      end;
-      !out_i.(!m) <- a;
-      !out_j.(!m) <- b;
-      incr m
+  (* growable pair output *)
+  let cap0 = 64 in
+  let out_i = ref (Array.make cap0 0) and out_j = ref (Array.make cap0 0) in
+  let m = ref 0 in
+  let push_pair a b =
+    if !m = Array.length !out_i then begin
+      let nc = 2 * !m in
+      let a' = Array.make nc 0 and b' = Array.make nc 0 in
+      Array.blit !out_i 0 a' 0 !m;
+      Array.blit !out_j 0 b' 0 !m;
+      out_i := a';
+      out_j := b'
+    end;
+    !out_i.(!m) <- a;
+    !out_j.(!m) <- b;
+    incr m
+  in
+  (* open-interval stack as three parallel arrays; top (sp-1) is the
+     innermost (latest-opened) interval. Depth never exceeds the
+     interval count. *)
+  let smax = max 1 n_ivl in
+  let st_lo = Array.make smax 0
+  and st_hi = Array.make smax 0
+  and st_ix = Array.make smax 0 in
+  let sp = ref 0 in
+  let cur_doc = ref 0 and have_doc = ref false in
+  let i = ref 0 and j = ref 0 in
+  while !j < n_pt do
+    let d_pt = pt_doc.(!j) and v_pt = pt_pos.(!j) in
+    let push_next =
+      !i < n_ivl
+      && (let d_iv = iv_doc.(!i) in
+          d_iv < d_pt
+          || (d_iv = d_pt
+              && (let l_iv = iv_lo.(!i) in
+                  l_iv < v_pt || (l_iv = v_pt && lo_incl))))
     in
-    (* open-interval stack as three parallel arrays; top (sp-1) is the
-       innermost (latest-opened) interval. Depth never exceeds the
-       chunk's interval count. *)
-    let smax = max 1 (i1 - i0) in
-    let st_lo = Array.make smax 0
-    and st_hi = Array.make smax 0
-    and st_ix = Array.make smax 0 in
-    let sp = ref 0 in
-    let cur_doc = ref 0 and have_doc = ref false in
-    let i = ref i0 and j = ref j0 in
-    while !j < j1 do
-      let d_pt = pt_doc.(!j) and v_pt = pt_pos.(!j) in
-      let push_next =
-        !i < i1
-        && (let d_iv = iv_doc.(!i) in
-            d_iv < d_pt
-            || (d_iv = d_pt
-                && (let l_iv = iv_lo.(!i) in
-                    l_iv < v_pt || (l_iv = v_pt && lo_incl))))
-      in
-      if push_next then begin
-        let d_iv = iv_doc.(!i) and l_iv = iv_lo.(!i) in
-        if not (!have_doc && !cur_doc = d_iv) then begin
-          sp := 0;
-          cur_doc := d_iv;
-          have_doc := true
-        end;
-        (* ancestors that closed before this start can never hold a later
-           position: drop them *)
-        while !sp > 0 && st_hi.(!sp - 1) < l_iv do
+    if push_next then begin
+      let d_iv = iv_doc.(!i) and l_iv = iv_lo.(!i) in
+      if not (!have_doc && !cur_doc = d_iv) then begin
+        sp := 0;
+        cur_doc := d_iv;
+        have_doc := true
+      end;
+      (* ancestors that closed before this start can never hold a later
+         position: drop them *)
+      while !sp > 0 && st_hi.(!sp - 1) < l_iv do
+        decr sp
+      done;
+      st_lo.(!sp) <- l_iv;
+      st_hi.(!sp) <- iv_hi.(!i);
+      st_ix.(!sp) <- iv_idx.(!i);
+      incr sp;
+      incr i
+    end
+    else begin
+      if !have_doc && !cur_doc = d_pt then begin
+        while
+          !sp > 0
+          && (let h = st_hi.(!sp - 1) in
+              h < v_pt || (h = v_pt && not hi_incl))
+        do
           decr sp
         done;
-        st_lo.(!sp) <- l_iv;
-        st_hi.(!sp) <- iv_hi.(!i);
-        st_ix.(!sp) <- iv_idx.(!i);
-        incr sp;
-        incr i
-      end
-      else begin
-        if !have_doc && !cur_doc = d_pt then begin
-          while
-            !sp > 0
-            && (let h = st_hi.(!sp - 1) in
-                h < v_pt || (h = v_pt && not hi_incl))
-          do
-            decr sp
-          done;
-          let jidx = pt_idx.(!j) in
-          for k = !sp - 1 downto 0 do
-            let l = st_lo.(k) and h = st_hi.(k) in
-            if (l < v_pt || (l = v_pt && lo_incl))
-               && (v_pt < h || (v_pt = h && hi_incl)) then
-              push_pair st_ix.(k) jidx
-          done
-        end;
-        incr j
-      end
-    done;
-    (Array.sub !out_i 0 !m, Array.sub !out_j 0 !m)
-  in
-  let parts =
-    structural_merge_chunks ~par ~n_ivl ~n_pt
-      ~doc_of_ivl:(fun k -> iv_doc.(k))
-      ~doc_of_pt:(fun k -> pt_doc.(k))
-      ~doc_cmp:icmp ~merge_range
-  in
-  match parts with
-  | [ one ] -> one
-  | parts ->
-    let total = List.fold_left (fun n (a, _) -> n + Array.length a) 0 parts in
-    let ai = Array.make total 0 and aj = Array.make total 0 in
-    let off = ref 0 in
-    List.iter
-      (fun (a, b) ->
-        let n = Array.length a in
-        Array.blit a 0 ai !off n;
-        Array.blit b 0 aj !off n;
-        off := !off + n)
-      parts;
-    (ai, aj)
+        let jidx = pt_idx.(!j) in
+        for k = !sp - 1 downto 0 do
+          let l = st_lo.(k) and h = st_hi.(k) in
+          if (l < v_pt || (l = v_pt && lo_incl))
+             && (v_pt < h || (v_pt = h && hi_incl)) then
+            push_pair st_ix.(k) jidx
+        done
+      end;
+      incr j
+    end
+  done;
+  (Array.sub !out_i 0 !m, Array.sub !out_j 0 !m)
 
 (* Generic path: arbitrary comparable keys. Merge order uses the total
    order; a match additionally requires the SQL comparison semantics at
    emission. *)
-let structural_merge_generic ~par ~lo_incl ~hi_incl
+let structural_merge_generic ~lo_incl ~hi_incl
     (intervals : (Value.t * Value.t * Value.t * int) array)
     (points : (Value.t * Value.t * int) array) : int array * int array =
   let n_ivl = Array.length intervals and n_pt = Array.length points in
-  let par = if n_ivl > 1 then par else None in
   let cmp_ivl (d1, l1, _, i1) (d2, l2, _, i2) =
     let c = Value.compare_total d1 d2 in
     if c <> 0 then c
@@ -537,73 +414,64 @@ let structural_merge_generic ~par ~lo_incl ~hi_incl
     | Some c -> c < 0 || (c = 0 && incl)
     | None -> false
   in
-  (* one merged sweep over intervals[i0,i1) and points[j0,j1): intervals
+  (* one merged sweep over intervals and points: intervals
      enter the stack when the sweep passes their lower bound, leave when
      it passes their upper bound; every surviving stack entry at a point
      is a candidate ancestor *)
-  let merge_range (i0, i1) (j0, j1) =
-    let pairs = ref [] in
-    let stack = ref [] in (* innermost (latest-opened) first *)
-    let cur_doc = ref Value.Null in
-    let have_doc = ref false in
-    let i = ref i0 and j = ref j0 in
-    while !j < j1 do
-      let d_pt, v_pt, jidx = points.(!j) in
-      let push_next =
-        !i < i1
-        && (let d_iv, l_iv, _, _ = intervals.(!i) in
-            let c = Value.compare_total d_iv d_pt in
-            c < 0
-            || (c = 0
-                && (let ck = Value.compare_total l_iv v_pt in
-                    ck < 0 || (ck = 0 && lo_incl))))
+  let pairs = ref [] in
+  let stack = ref [] in (* innermost (latest-opened) first *)
+  let cur_doc = ref Value.Null in
+  let have_doc = ref false in
+  let i = ref 0 and j = ref 0 in
+  while !j < n_pt do
+    let d_pt, v_pt, jidx = points.(!j) in
+    let push_next =
+      !i < n_ivl
+      && (let d_iv, l_iv, _, _ = intervals.(!i) in
+          let c = Value.compare_total d_iv d_pt in
+          c < 0
+          || (c = 0
+              && (let ck = Value.compare_total l_iv v_pt in
+                  ck < 0 || (ck = 0 && lo_incl))))
+    in
+    if push_next then begin
+      let d_iv, l_iv, h_iv, iidx = intervals.(!i) in
+      incr i;
+      if not (!have_doc && Value.compare_total !cur_doc d_iv = 0) then begin
+        stack := [];
+        cur_doc := d_iv;
+        have_doc := true
+      end;
+      (* ancestors that closed before this start can never hold a later
+         position: drop them *)
+      let rec expire = function
+        | (_, h, _) :: rest when Value.compare_total h l_iv < 0 ->
+          expire rest
+        | s -> s
       in
-      if push_next then begin
-        let d_iv, l_iv, h_iv, iidx = intervals.(!i) in
-        incr i;
-        if not (!have_doc && Value.compare_total !cur_doc d_iv = 0) then begin
-          stack := [];
-          cur_doc := d_iv;
-          have_doc := true
-        end;
-        (* ancestors that closed before this start can never hold a later
-           position: drop them *)
+      stack := (l_iv, h_iv, iidx) :: expire !stack
+    end
+    else begin
+      incr j;
+      if !have_doc && Value.compare_total !cur_doc d_pt = 0
+         && Value.sql_compare !cur_doc d_pt = Some 0 then begin
         let rec expire = function
-          | (_, h, _) :: rest when Value.compare_total h l_iv < 0 ->
+          | (_, h, _) :: rest
+            when (let c = Value.compare_total h v_pt in
+                  c < 0 || (c = 0 && not hi_incl)) ->
             expire rest
           | s -> s
         in
-        stack := (l_iv, h_iv, iidx) :: expire !stack
+        stack := expire !stack;
+        List.iter
+          (fun (l, h, iidx) ->
+            if sql_before l v_pt lo_incl && sql_before v_pt h hi_incl then
+              pairs := (iidx, jidx) :: !pairs)
+          !stack
       end
-      else begin
-        incr j;
-        if !have_doc && Value.compare_total !cur_doc d_pt = 0
-           && Value.sql_compare !cur_doc d_pt = Some 0 then begin
-          let rec expire = function
-            | (_, h, _) :: rest
-              when (let c = Value.compare_total h v_pt in
-                    c < 0 || (c = 0 && not hi_incl)) ->
-              expire rest
-            | s -> s
-          in
-          stack := expire !stack;
-          List.iter
-            (fun (l, h, iidx) ->
-              if sql_before l v_pt lo_incl && sql_before v_pt h hi_incl then
-                pairs := (iidx, jidx) :: !pairs)
-            !stack
-        end
-      end
-    done;
-    List.rev !pairs
-  in
-  let pairs =
-    List.concat
-      (structural_merge_chunks ~par ~n_ivl ~n_pt
-         ~doc_of_ivl:(fun k -> let d, _, _, _ = intervals.(k) in d)
-         ~doc_of_pt:(fun k -> let d, _, _ = points.(k) in d)
-         ~doc_cmp:Value.compare_total ~merge_range)
-  in
+    end
+  done;
+  let pairs = List.rev !pairs in
   let m = List.length pairs in
   let ai = Array.make m 0 and aj = Array.make m 0 in
   List.iteri
@@ -615,7 +483,7 @@ let structural_merge_generic ~par ~lo_incl ~hi_incl
 
 (* Dispatch on key representation: when every key is an Int (the XML
    region encoding), run the unboxed merge. *)
-let structural_pairs ~par ~lo_incl ~hi_incl intervals points =
+let structural_pairs ~lo_incl ~hi_incl intervals points =
   let int_keys =
     Array.for_all
       (fun (d, l, h, _) ->
@@ -657,11 +525,11 @@ let structural_pairs ~par ~lo_incl ~hi_incl intervals points =
          | _ -> assert false);
         pt_idx.(k) <- j)
       points;
-    structural_merge_int ~par ~lo_incl ~hi_incl
+    structural_merge_int ~lo_incl ~hi_incl
       ~ivl:(iv_doc, iv_lo, iv_hi, iv_idx)
       ~pt:(pt_doc, pt_pos, pt_idx)
   end
-  else structural_merge_generic ~par ~lo_incl ~hi_incl intervals points
+  else structural_merge_generic ~lo_incl ~hi_incl intervals points
 
 (* Re-merge matched pairs to the deterministic left-major order of the
    equivalent nested-loop/hash plan: two stable counting passes (by
@@ -695,14 +563,6 @@ let structural_lr_pairs ~interval_on_left ~n_left ~n_right (pi, pj) =
     let l2, r2 = pass l1 r1 l1 (n_left - 1) in
     (l2, r2)
   end
-
-(* The planner only marks big inputs with Exchange, so that is the
-   go-parallel signal for the structural merge. *)
-let structural_exchange_pool (left : Plan.t) (right : Plan.t) =
-  match left, right with
-  | Plan.Exchange { workers; _ }, _ | _, Plan.Exchange { workers; _ } ->
-    exchange_pool ~workers
-  | _ -> None
 
 let rec eval ctx row (e : Plan.cexpr) : Value.t =
   match e with
@@ -859,15 +719,12 @@ and run_plan ctx (plan : Plan.t) : Value.t array Seq.t =
 and run_plan_raw ctx st (plan : Plan.t) : Value.t array Seq.t =
   match plan with
   | Single_row -> Seq.return [||]
-  | Seq_scan { table; filter; part } ->
+  | Seq_scan { table; filter } ->
     let t = scan_table ctx table in
     let rows =
-      match ctx.view, part with
-      | None, None -> Seq.map snd (Table.scan t)
-      | None, Some (i, n) -> Seq.map snd (Table.scan_part t ~index:i ~parts:n)
-      | Some snap, None -> Seq.map snd (Table.scan_at t snap)
-      | Some snap, Some (i, n) ->
-        Seq.map snd (Table.scan_part_at t snap ~index:i ~parts:n)
+      match ctx.view with
+      | None -> Seq.map snd (Table.scan t)
+      | Some snap -> Seq.map snd (Table.scan_at t snap)
     in
     (match filter with
      | None -> rows
@@ -948,69 +805,17 @@ and run_plan_raw ctx st (plan : Plan.t) : Value.t array Seq.t =
   | Hash_join { left; right; left_keys; right_keys; cond; left_outer; right_arity } ->
     let nulls = Array.make right_arity Value.Null in
     fun () ->
-      (* build on the right; an Exchange build side is partitioned across
-         domains into per-domain partial tables, then merged *)
-      let build_seq () =
-        let tbl = KeyTbl.create 256 in
-        Seq.iter
-          (fun rrow ->
-            let k = Array.map (eval ctx rrow) right_keys in
-            if not (Array.exists (fun v -> v = Value.Null) k) then begin
-              built st;
-              KeyTbl.replace tbl k
-                (rrow :: (match KeyTbl.find_opt tbl k with Some l -> l | None -> []))
-            end)
-          (run_plan ctx right);
-        tbl
-      in
-      let build_par pool inputs =
-          (* key evaluation is pure; each domain fills its own table *)
-          let locals =
-            Conc.Pool.parallel_map pool
-              (fun p ->
-                let local = KeyTbl.create 256 in
-                let count = ref 0 in
-                Seq.iter
-                  (fun rrow ->
-                    let k = Array.map (eval ctx rrow) right_keys in
-                    if not (Array.exists (fun v -> v = Value.Null) k) then begin
-                      incr count;
-                      KeyTbl.replace local k
-                        (rrow
-                         :: (match KeyTbl.find_opt local k with
-                             | Some l -> l
-                             | None -> []))
-                    end)
-                  (run_plan ctx p);
-                (local, !count))
-              inputs
-          in
-          let tbl = KeyTbl.create 256 in
-          (* merging ascending partitions by prepending each local bucket
-             leaves every bucket in the exact cons order a sequential
-             build over the concatenated stream would produce, so the
-             probe phase emits matches in the same order *)
-          List.iter
-            (fun (local, count) ->
-              (match st with
-               | Some s -> s.build_rows <- s.build_rows + count
-               | None -> ());
-              KeyTbl.iter
-                (fun k l ->
-                  KeyTbl.replace tbl k
-                    (l @ (match KeyTbl.find_opt tbl k with Some g -> g | None -> [])))
-                local)
-            locals;
-          tbl
-      in
-      let tbl =
-        match right with
-        | Plan.Exchange { inputs; workers } -> (
-          match exchange_pool ~workers with
-          | Some pool -> build_par pool inputs
-          | None -> build_seq ())
-        | _ -> build_seq ()
-      in
+      (* build on the right *)
+      let tbl = KeyTbl.create 256 in
+      Seq.iter
+        (fun rrow ->
+          let k = Array.map (eval ctx rrow) right_keys in
+          if not (Array.exists (fun v -> v = Value.Null) k) then begin
+            built st;
+            KeyTbl.replace tbl k
+              (rrow :: (match KeyTbl.find_opt tbl k with Some l -> l | None -> []))
+          end)
+        (run_plan ctx right);
       (Seq.concat_map
          (fun lrow ->
            let k = Array.map (eval ctx lrow) left_keys in
@@ -1065,19 +870,6 @@ and run_plan_raw ctx st (plan : Plan.t) : Value.t array Seq.t =
     let rows = run_plan ctx input in
     let rows = match offset with Some n -> Seq.drop n rows | None -> rows in
     (match limit with Some n -> Seq.take n rows | None -> rows)
-  | Exchange { inputs; workers } ->
-    fun () ->
-      (match exchange_pool ~workers with
-       | None -> Seq.concat_map (run_plan ctx) (List.to_seq inputs) ()
-       | Some pool ->
-         (* each domain materialises its own partition; concatenating in
-            input order reproduces the unpartitioned stream exactly *)
-         let parts =
-           Conc.Pool.parallel_map pool
-             (fun p -> List.of_seq (run_plan ctx p))
-             inputs
-         in
-         Seq.concat_map List.to_seq (List.to_seq parts) ())
   | Structural_join
       { left; right; interval_on_left; left_doc; right_doc; lo; hi; pos;
         lo_incl; hi_incl; cond; right_arity = _ } ->
@@ -1121,10 +913,7 @@ and run_plan_raw ctx st (plan : Plan.t) : Value.t array Seq.t =
           pt_rows;
         Array.of_list (List.rev !acc)
       in
-      let par = structural_exchange_pool left right in
-      let all_pairs =
-        structural_pairs ~par ~lo_incl ~hi_incl intervals points
-      in
+      let all_pairs = structural_pairs ~lo_incl ~hi_incl intervals points in
       let li, ri =
         structural_lr_pairs ~interval_on_left ~n_left:(Array.length lrows)
           ~n_right:(Array.length rrows) all_pairs
@@ -1256,7 +1045,7 @@ let guarded_batches token (seq : Batch.t Seq.t) =
    [Batch.max_rows] rows; empty inputs yield no batches (a zero-row
    batch is never emitted). *)
 let batches_of_rows ~arity (rows : Value.t array Seq.t) : Batch.t Seq.t =
-  let cap = Batch.max_rows () in
+  let cap = Batch.max_rows in
   let rec go rows () =
     match rows () with
     | Seq.Nil -> Seq.Nil
@@ -1465,15 +1254,12 @@ let rec run_batches ctx (plan : Plan.t) : Batch.t Seq.t =
 and run_batches_raw ctx st (plan : Plan.t) : Batch.t Seq.t =
   match plan with
   | Single_row -> Seq.return { Batch.len = 1; cols = [||]; sel = None }
-  | Seq_scan { table; filter; part } ->
+  | Seq_scan { table; filter } ->
     let t = scan_table ctx table in
     let rows =
-      match ctx.view, part with
-      | None, None -> Seq.map snd (Table.scan t)
-      | None, Some (i, n) -> Seq.map snd (Table.scan_part t ~index:i ~parts:n)
-      | Some snap, None -> Seq.map snd (Table.scan_at t snap)
-      | Some snap, Some (i, n) ->
-        Seq.map snd (Table.scan_part_at t snap ~index:i ~parts:n)
+      match ctx.view with
+      | None -> Seq.map snd (Table.scan t)
+      | Some snap -> Seq.map snd (Table.scan_at t snap)
     in
     let bs = batches_of_rows ~arity:(Schema.arity (Table.schema t)) rows in
     (match filter with None -> bs | Some f -> apply_filter ctx f bs)
@@ -1635,10 +1421,7 @@ and run_batches_raw ctx st (plan : Plan.t) : Batch.t Seq.t =
     fun () ->
       (* build on the right into one dense batch; the hash table maps
          key -> physical row indices into it, so matched build rows are
-         emitted by column gather with no row-boxing round trip. An
-         Exchange build side is partitioned across domains into
-         per-domain batch + partial table, then merged with an index
-         offset (same merge order as the iterator executor). *)
+         emitted by column gather with no row-boxing round trip. *)
       let keys_of_batch (b : Batch.t) =
         let arity = Batch.arity b in
         if
@@ -1672,87 +1455,40 @@ and run_batches_raw ctx st (plan : Plan.t) : Batch.t Seq.t =
         done;
         (local, !count)
       in
-      let build_par pool inputs =
-          let locals =
-            Conc.Pool.parallel_map pool
-              (fun p ->
-                let b =
-                  Batch.concat ~arity:right_arity
-                    (List.of_seq (run_batches ctx p))
-                in
-                let local, count = build_local b in
-                (b, local, count))
-              inputs
-          in
-          let rB =
-            Batch.concat ~arity:right_arity
-              (List.map (fun (b, _, _) -> b) locals)
-          in
-          let tbl = KeyTbl.create 256 in
-          let off = ref 0 in
-          List.iter
-            (fun ((b : Batch.t), local, count) ->
-              (match st with
-               | Some s -> s.build_rows <- s.build_rows + count
-               | None -> ());
-              let o = !off in
-              KeyTbl.iter
-                (fun k l ->
-                  KeyTbl.replace tbl k
-                    (List.map (fun r -> r + o) l
-                     @ (match KeyTbl.find_opt tbl k with
-                        | Some g -> g
-                        | None -> [])))
-                local;
-              off := !off + b.Batch.len)
-            locals;
-          (rB, Hj_gen tbl)
+      let rB =
+        Batch.concat ~arity:right_arity
+          (List.of_seq (run_batches ctx right))
       in
-      let build_seq () =
-          let rB =
-            Batch.concat ~arity:right_arity
-              (List.of_seq (run_batches ctx right))
-          in
-          (* single unboxed key column: table keys on raw ints, so the
-             build loop never allocates — the common shape for the
-             doc_id / node_id equi-joins the XML shredding produces *)
-          let int_build =
-            match right_keys with
-            | [| Plan.CCol c |] when c >= 0 && c < Batch.arity rB -> (
-              match rB.Batch.cols.(c) with
-              | Batch.I a ->
-                let t = Hashtbl.create 256 in
-                for r = 0 to rB.Batch.len - 1 do
-                  Hashtbl.replace t a.(r)
-                    (r
-                     :: (match Hashtbl.find_opt t a.(r) with
-                         | Some l -> l
-                         | None -> []))
-                done;
-                Some (Hj_int t, rB.Batch.len)
-              | Batch.V _ -> None)
-            | _ -> None
-          in
-          let tbl, count =
-            match int_build with
-            | Some tc -> tc
-            | None ->
-              let t, c = build_local rB in
-              (Hj_gen t, c)
-          in
-          (match st with
-           | Some s -> s.build_rows <- s.build_rows + count
-           | None -> ());
-          (rB, tbl)
+      (* single unboxed key column: table keys on raw ints, so the
+         build loop never allocates — the common shape for the
+         doc_id / node_id equi-joins the XML shredding produces *)
+      let int_build =
+        match right_keys with
+        | [| Plan.CCol c |] when c >= 0 && c < Batch.arity rB -> (
+          match rB.Batch.cols.(c) with
+          | Batch.I a ->
+            let t = Hashtbl.create 256 in
+            for r = 0 to rB.Batch.len - 1 do
+              Hashtbl.replace t a.(r)
+                (r
+                 :: (match Hashtbl.find_opt t a.(r) with
+                     | Some l -> l
+                     | None -> []))
+            done;
+            Some (Hj_int t, rB.Batch.len)
+          | Batch.V _ -> None)
+        | _ -> None
       in
-      let rB, tbl =
-        match right with
-        | Plan.Exchange { inputs; workers } -> (
-          match exchange_pool ~workers with
-          | Some pool -> build_par pool inputs
-          | None -> build_seq ())
-        | _ -> build_seq ()
+      let tbl, count =
+        match int_build with
+        | Some tc -> tc
+        | None ->
+          let t, c = build_local rB in
+          (Hj_gen t, c)
       in
+      (match st with
+       | Some s -> s.build_rows <- s.build_rows + count
+       | None -> ());
       let lookup (k : Value.t array) =
         match tbl with
         | Hj_gen t -> (
@@ -1971,20 +1707,6 @@ and run_batches_raw ctx st (plan : Plan.t) : Batch.t Seq.t =
           end
     in
     go off limit bs
-  | Exchange { inputs; workers } ->
-    fun () ->
-      (match exchange_pool ~workers with
-       | None -> Seq.concat_map (run_batches ctx) (List.to_seq inputs) ()
-       | Some pool ->
-         (* each domain materialises its own partition's batches;
-            concatenating in input order reproduces the unpartitioned
-            stream exactly *)
-         let parts =
-           Conc.Pool.parallel_map pool
-             (fun p -> List.of_seq (run_batches ctx p))
-             inputs
-         in
-         Seq.concat_map List.to_seq (List.to_seq parts) ())
   | Structural_join
       { left; right; interval_on_left; left_doc; right_doc; lo; hi; pos;
         lo_incl; hi_incl; cond; right_arity = _ } ->
@@ -2040,7 +1762,6 @@ and batch_sj_pairs ctx st ~left ~right ~interval_on_left ~left_doc
         if interval_on_left then (lB, left_doc, rB, right_doc)
         else (rB, right_doc, lB, left_doc)
       in
-      let par = structural_exchange_pool left right in
       (* an unboxed key column never holds NULL, so physical index =
          stream index and no NULL filtering is needed *)
       let int_col b (e : Plan.cexpr) =
@@ -2064,7 +1785,7 @@ and batch_sj_pairs ctx st ~left ~right ~interval_on_left ~left_doc
              index columns *)
           let iv_idx = Array.init ivB.Batch.len (fun k -> k) in
           let pt_idx = Array.init ptB.Batch.len (fun k -> k) in
-          structural_merge_int ~par ~lo_incl ~hi_incl
+          structural_merge_int ~lo_incl ~hi_incl
             ~ivl:(d, l, h, iv_idx)
             ~pt:(pd, pv, pt_idx)
         | _ ->
@@ -2093,7 +1814,7 @@ and batch_sj_pairs ctx st ~left ~right ~interval_on_left ~left_doc
             done;
             Array.of_list (List.rev !acc)
           in
-          structural_pairs ~par ~lo_incl ~hi_incl intervals points
+          structural_pairs ~lo_incl ~hi_incl intervals points
       in
       let lidx, ridx =
         structural_lr_pairs ~interval_on_left ~n_left:lB.Batch.len

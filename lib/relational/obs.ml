@@ -1,8 +1,9 @@
 let now_s () = Unix.gettimeofday ()
 
 (* The process-wide counters/timers/histograms below are shared across
-   domains once queries run in parallel, so Counter is an atomic and the
-   compound updates in Timer/Histogram take a per-instance mutex. *)
+   domains and threads (concurrent sessions, parallel harvest), so
+   Counter is an atomic and the compound updates in Timer/Histogram take
+   a per-instance mutex. *)
 
 module Counter = struct
   type t = int Atomic.t

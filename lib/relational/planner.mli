@@ -14,8 +14,13 @@ exception Plan_error of string
 val structural_enabled : unit -> bool
 (** Whether the planner may pick the structural (interval containment)
     merge join for [doc = doc AND lo (<|<=) pos (<|<=) hi] join shapes.
-    On by default; set [XOMATIQ_STRUCTURAL_JOIN=0] to fall back to
-    hash-join + filter (the E7 bench baseline). *)
+    On by default. *)
+
+val with_structural_join : bool -> (unit -> 'a) -> 'a
+(** [with_structural_join false f] runs [f] with the structural join off,
+    so joins plan as hash-join + filter (the baseline of the differential
+    suite and the E7 bench); the previous setting is restored on exit,
+    even on exceptions. The setting is process-global, not per domain. *)
 
 type planned = {
   plan : Plan.t;
@@ -26,8 +31,8 @@ type planned = {
           the vectorized path (and with it the rewrite pass) is off *)
   est_cost : float;
       (** root cost estimate of the final (rewritten) plan in the cost
-          model's "rows touched" unit; the adaptive scheduler's cost
-          gate compares it against [Conc.Sched.cost_threshold] *)
+          model's "rows touched" unit; the server's scheduler compares
+          it against [Conc.Sched.cost_threshold] *)
 }
 
 val plan_select : Catalog.t -> Sql_ast.select -> planned

@@ -176,7 +176,7 @@ let rec transform ?(sub_root = fun _ p -> p) (fnode : Plan.t -> Plan.t) (p : Pla
   let p' =
     match p with
     | Single_row -> Single_row
-    | Seq_scan { table; filter; part } -> Seq_scan { table; filter = fo filter; part }
+    | Seq_scan { table; filter } -> Seq_scan { table; filter = fo filter }
     | Index_lookup { table; index; key; filter } ->
       Index_lookup { table; index; key = Array.map fe key; filter = fo filter }
     | Index_range { table; index; lo; hi; filter } ->
@@ -204,7 +204,6 @@ let rec transform ?(sub_root = fun _ p -> p) (fnode : Plan.t -> Plan.t) (p : Pla
     | Distinct input -> Distinct (self input)
     | Union_all inputs -> Union_all (List.map self inputs)
     | Limit { limit; offset; input } -> Limit { limit; offset; input = self input }
-    | Exchange { inputs; workers } -> Exchange { inputs = List.map self inputs; workers }
     | Structural_join
         { left; right; interval_on_left; left_doc; right_doc; lo; hi; pos;
           lo_incl; hi_incl; cond; right_arity } ->
@@ -233,8 +232,8 @@ let rec arity_of cat (p : Plan.t) : int option =
     Option.map (fun la -> la + right_arity) (arity_of cat left)
   | Aggregate { group_by; aggs; _ } ->
     Some (Array.length group_by + Array.length aggs)
-  | Union_all [] | Exchange { inputs = []; _ } -> None
-  | Union_all (i :: _) | Exchange { inputs = i :: _; _ } -> arity_of cat i
+  | Union_all [] -> None
+  | Union_all (i :: _) -> arity_of cat i
 
 (* ------------------------------------------------------------------ *)
 (* Rule: sort-elim                                                     *)
@@ -384,15 +383,6 @@ let filter_merge _cat plan =
   (* A scan filter is evaluated against the full base-table row — the
      same shape the Filter above sees — so even subplan-bearing
      predicates merge safely. *)
-  let into_partition f p =
-    match p with
-    | Seq_scan s -> Seq_scan { s with filter = merge_pred (copy_cexpr f) s.filter }
-    | Index_lookup s ->
-      Index_lookup { s with filter = merge_pred (copy_cexpr f) s.filter }
-    | Index_range s ->
-      Index_range { s with filter = merge_pred (copy_cexpr f) s.filter }
-    | p -> Filter (copy_cexpr f, p)
-  in
   let fnode = function
     | Filter (f, Seq_scan s) ->
       incr fires;
@@ -406,9 +396,6 @@ let filter_merge _cat plan =
     | Filter (f, Filter (g, i)) ->
       incr fires;
       Filter (CBinop (Sql_ast.And, g, f), i)
-    | Filter (f, Exchange { inputs; workers }) ->
-      incr fires;
-      Exchange { inputs = List.map (into_partition f) inputs; workers }
     | p -> p
   in
   let plan = transform fnode plan in
@@ -436,9 +423,8 @@ let need_of_exprs es =
 
 (* [prune] walks top-down carrying the set of output columns the
    ancestors consume; whenever a scan's output is wider than that set it
-   inserts a narrowing Project over the scan (inside Exchange
-   partitions, so the parallel-build pattern matches in the executor
-   still fire) and renumbers every expression above. [go p need] returns
+   inserts a narrowing Project over the scan and renumbers every
+   expression above. [go p need] returns
    [(p', kept)] where [kept] lists the original output slots [p'] still
    produces, ascending; [kept ⊇ need], and [need = All] forces [kept] to
    be the full identity. *)
@@ -684,27 +670,6 @@ let prune cat plan =
     | Limit { limit; offset; input } ->
       let input', kept = go input need in
       (Limit { limit; offset; input = input' }, kept)
-    | Exchange { inputs; workers } -> (
-      match need with
-      | All -> (Exchange { inputs = List.map (fun i -> fst (go i All)) inputs; workers },
-                (match arity_of cat p with Some n -> identity n | None -> []))
-      | Cols cs ->
-        let target = IntSet.elements cs in
-        let inputs' =
-          List.map
-            (fun i ->
-              let i', kept = go i (Cols cs) in
-              if kept = target then i'
-              else begin
-                incr fires;
-                Project
-                  ( Array.of_list
-                      (List.map (fun c -> remap_with kept (CCol c)) target),
-                    i' )
-              end)
-            inputs
-        in
-        (Exchange { inputs = inputs'; workers }, target))
   in
   (* Prune inside embedded subplans too. IN and scalar subplans are read
      through column 0 only; EXISTS only checks cardinality. Since [go]
@@ -838,4 +803,4 @@ let footer report =
     | [] -> "none"
     | r -> String.concat " " (List.map (fun (n, c) -> Printf.sprintf "%s=%d" n c) r)
   in
-  Printf.sprintf "\nVectorized: batch=%d rewrites=[%s]\n" (Batch.max_rows ()) rules_s
+  Printf.sprintf "\nVectorized: batch=%d rewrites=[%s]\n" Batch.max_rows rules_s

@@ -9,8 +9,8 @@
     - ["filter-pushdown"]: split a [Filter] above an inner join into
       conjuncts and push single-side conjuncts below the join.
     - ["filter-merge"]: fuse [Filter] operators into the scan beneath
-      them (or into each partition of an [Exchange] of scans), so the
-      batch executor evaluates the predicate during the scan.
+      them, so the batch executor evaluates the predicate during the
+      scan.
     - ["prune"]: global projection pushdown — insert narrowing
       [Project]s over scans so only columns some ancestor consumes are
       carried through joins and sorts.

@@ -254,15 +254,6 @@ let scan_range t ~lo ~hi =
 
 let scan t = fun () -> scan_range t ~lo:0 ~hi:(next_rowid t) ()
 
-let scan_part t ~index ~parts =
-  fun () ->
-    (* bounds resolved at pull time: cached plans keep covering the whole
-       table as it grows *)
-    let n = next_rowid t in
-    let parts = max 1 parts in
-    let i = max 0 (min index (parts - 1)) in
-    scan_range t ~lo:(i * n / parts) ~hi:((i + 1) * n / parts) ()
-
 let add_index t idx =
   let exception Violation of string in
   match
@@ -565,15 +556,6 @@ let scan_resolved t snap ~lo ~hi =
 
 let scan_at t snap =
   fun () -> scan_resolved t snap ~lo:0 ~hi:(visible_len t snap) ()
-
-let scan_part_at t snap ~index ~parts =
-  fun () ->
-    (* same chunk arithmetic as {!scan_part}, over the snapshot's
-       visible length: concatenating all parts equals {!scan_at} *)
-    let n = visible_len t snap in
-    let parts = max 1 parts in
-    let i = max 0 (min index (parts - 1)) in
-    scan_resolved t snap ~lo:(i * n / parts) ~hi:((i + 1) * n / parts) ()
 
 (* Snapshot index probes. Fast path: no versions before or after the
    raw probe means index and heap were untouched for the whole probe.

@@ -49,12 +49,6 @@ val scan : t -> (int * Value.t array) Seq.t
 val scan_range : t -> lo:int -> hi:int -> (int * Value.t array) Seq.t
 (** Live rows with [lo <= rowid < hi] in row-id order. *)
 
-val scan_part : t -> index:int -> parts:int -> (int * Value.t array) Seq.t
-(** Live rows of the [index]-th of [parts] contiguous rowid chunks, in
-    row-id order. Chunk bounds split the rowid space evenly and are
-    computed when the sequence is first pulled, so concatenating all
-    [parts] chunks in order equals {!scan} at that moment. *)
-
 val add_index : t -> Index.t -> (unit, string) result
 (** Builds the index over existing rows; fails (leaving the table
     unchanged) if a unique constraint is violated by current data. *)
@@ -126,10 +120,6 @@ val scan_at : t -> snap -> (int * Value.t array) Seq.t
     [snap.self]'s own writes) in rowid order. Never blocks on writers;
     a chunked re-validation protocol keeps it raw-speed when no version
     history exists. *)
-
-val scan_part_at : t -> snap -> index:int -> parts:int -> (int * Value.t array) Seq.t
-(** {!scan_part} as of the snapshot; concatenating all parts equals
-    {!scan_at}. *)
 
 val lookup_at : t -> snap -> Index.t -> Value.t array -> Value.t array list
 (** Index equality probe as of the snapshot: the rows whose snapshot

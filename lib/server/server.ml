@@ -112,52 +112,25 @@ let values_to_table columns rows =
        (fun r -> Array.to_list (Array.map Rdb.Value.to_string r))
        rows)
 
-(* Render one request into (body, summary ingredients). Runs on
-   whichever thread the scheduler picked; everything it raises is
-   reported as a typed error frame. *)
-let render_request t sess token kind text =
+(* Render a request that is not planned up front — EXPLAIN, EXPLAIN
+   ANALYZE, or a SQL statement other than a SELECT — into (body, rows,
+   cached). Runs on whichever thread the scheduler picked; everything it
+   raises is reported as a typed error frame. *)
+let render_request t kind text =
   match kind with
-  | `Query ->
-    let result =
-      Xomatiq.Engine.run_text ~contains_strategy:sess.Session.contains
-        ~cancel:token t.wh text
-    in
-    let body =
-      match sess.Session.format with
-      | `Table -> Xomatiq.Engine.result_to_table result
-      | `Xml ->
-        Gxml.Printer.document_to_string ~pretty:true
-          (Xomatiq.Engine.result_to_xml result)
-    in
-    (body, List.length result.Xomatiq.Engine.rows,
-     result.Xomatiq.Engine.cached)
-  | `Sql -> begin
-    let db = Datahounds.Warehouse.db t.wh in
-    match Rdb.Sql_parser.parse text with
-    | Rdb.Sql_ast.Select_stmt sel ->
-      let planned = Rdb.Database.plan_select db sel in
-      let columns, rows = Rdb.Database.run_planned db ~cancel:token planned in
+  | `Stmt (stmt : Rdb.Sql_ast.stmt) -> begin
+    (* DML / DDL / EXPLAIN run on the warehouse's default session;
+       statement-level locking inside the database serializes writers. *)
+    if t.cfg.read_only && not (P.stmt_is_read stmt) then
+      raise Read_only_violation;
+    match Rdb.Database.exec_exn (Datahounds.Warehouse.db t.wh) text with
+    | Rdb.Database.Rows { columns; rows } ->
       (values_to_table columns rows, List.length rows, false)
-    | Rdb.Sql_ast.Query_stmt q ->
-      let planned = Rdb.Planner.plan_query (Rdb.Database.catalog db) q in
-      let columns, rows = Rdb.Database.run_planned db ~cancel:token planned in
-      (values_to_table columns rows, List.length rows, false)
-    | stmt -> begin
-      (* DML / DDL / EXPLAIN run on the warehouse's default session;
-         statement-level locking inside the database serializes writers. *)
-      if t.cfg.read_only && not (P.stmt_is_read stmt) then
-        raise Read_only_violation;
-      match Rdb.Database.exec_exn db text with
-      | Rdb.Database.Rows { columns; rows } ->
-        (values_to_table columns rows, List.length rows, false)
-      | Rdb.Database.Affected n ->
-        (Printf.sprintf "%d row(s) affected\n" n, n, false)
-      | Rdb.Database.Done msg -> (msg ^ "\n", 0, false)
-      | Rdb.Database.Explained s -> (s ^ "\n", 0, false)
-      | exception Failure m -> raise (Xomatiq.Engine.Query_error m)
-    end
-    | exception (Rdb.Sql_parser.Parse_error _ as e) ->
-      raise (Xomatiq.Engine.Query_error (Rdb.Sql_parser.error_to_string e))
+    | Rdb.Database.Affected n ->
+      (Printf.sprintf "%d row(s) affected\n" n, n, false)
+    | Rdb.Database.Done msg -> (msg ^ "\n", 0, false)
+    | Rdb.Database.Explained s -> (s ^ "\n", 0, false)
+    | exception Failure m -> raise (Xomatiq.Engine.Query_error m)
   end
   | (`Explain | `Analyze) as k -> begin
     match Xomatiq.Parser.parse text with
@@ -178,15 +151,13 @@ let chunk_size = 64 * 1024
    body on whichever thread runs it, [dispatch] says whether it goes off
    the calling thread (so the socket stays watched) or runs inline.
 
-   In static mode ([XOMATIQ_SCHED=static]) everything is dispatched —
-   the pre-adaptive behaviour. In adaptive mode the request is planned
-   *here*, on the calling thread (a plan-cache lookup on the hot path,
-   or the session's own memoized preparation), and the root cost
-   estimate picks the lane: a cheap query never pays the pool round-trip
-   and its ~1 ms+ future-poll latency, an expensive one keeps the
-   dispatched path so CANCEL frames and deadlines stay live mid-query.
-   Planning errors raise [Query_error] from here, exactly as they would
-   from inside the dispatched task. *)
+   A query is planned *here*, on the calling thread (a plan-cache lookup
+   on the hot path, or the session's own memoized preparation), and its
+   root cost estimate picks the lane ({!Conc.Sched.lane}): a cheap query
+   never pays the thread hand-off, an expensive one is dispatched so
+   CANCEL frames and deadlines stay live mid-query. Planning errors
+   raise [Query_error] from here, exactly as they would from inside the
+   dispatched task. *)
 let plan_work t sess token kind text =
   let finish ~t0 body rows cached =
     let exec_s = Obs.now_s () -. t0 in
@@ -199,80 +170,72 @@ let plan_work t sess token kind text =
   let render_job kind =
     fun () ->
       let t0 = Obs.now_s () in
-      let body, rows, cached = render_request t sess token kind text in
+      let body, rows, cached = render_request t kind text in
       finish ~t0 body rows cached
   in
-  if Conc.Sched.mode () = Conc.Sched.Static then (render_job kind, true)
-  else
-    match kind with
-    | `Query ->
-      let strategy = sess.Session.contains in
-      let pt, cached =
-        match sess.Session.prep with
-        | Some (txt, pt)
-          when txt = text
-               && Xomatiq.Engine.prepared_valid ~contains_strategy:strategy
-                    t.wh pt ->
-          (pt, true)
-        | _ ->
-          let pt =
-            Xomatiq.Engine.prepare_text ~contains_strategy:strategy t.wh text
-          in
-          sess.Session.prep <- Some (text, pt);
-          (pt, Xomatiq.Engine.prepared_hit pt)
+  let dispatch est_cost = Conc.Sched.lane ~est_cost = Conc.Sched.Dispatch in
+  match kind with
+  | `Query ->
+    let strategy = sess.Session.contains in
+    let pt, cached =
+      match sess.Session.prep with
+      | Some (txt, pt)
+        when txt = text
+             && Xomatiq.Engine.prepared_valid ~contains_strategy:strategy
+                  t.wh pt ->
+        (pt, true)
+      | _ ->
+        let pt =
+          Xomatiq.Engine.prepare_text ~contains_strategy:strategy t.wh text
+        in
+        sess.Session.prep <- Some (text, pt);
+        (pt, Xomatiq.Engine.prepared_hit pt)
+    in
+    let job () =
+      let t0 = Obs.now_s () in
+      let result =
+        Xomatiq.Engine.run_prepared_text ~cancel:token ~cached pt
       in
-      let decision =
-        Conc.Sched.plan_decision ~est_cost:(Xomatiq.Engine.prepared_cost pt)
+      let body =
+        match sess.Session.format with
+        | `Table -> Xomatiq.Engine.result_to_table result
+        | `Xml ->
+          Gxml.Printer.document_to_string ~pretty:true
+            (Xomatiq.Engine.result_to_xml result)
       in
+      finish ~t0 body
+        (List.length result.Xomatiq.Engine.rows)
+        result.Xomatiq.Engine.cached
+    in
+    (job, dispatch (Xomatiq.Engine.prepared_cost pt))
+  | `Sql -> begin
+    let db = Datahounds.Warehouse.db t.wh in
+    let planned_job planned =
       let job () =
         let t0 = Obs.now_s () in
-        let result =
-          Xomatiq.Engine.run_prepared_text ~cancel:token ~cached pt
+        let columns, rows =
+          Rdb.Database.run_planned db ~cancel:token planned
         in
-        let body =
-          match sess.Session.format with
-          | `Table -> Xomatiq.Engine.result_to_table result
-          | `Xml ->
-            Gxml.Printer.document_to_string ~pretty:true
-              (Xomatiq.Engine.result_to_xml result)
-        in
-        finish ~t0 body
-          (List.length result.Xomatiq.Engine.rows)
-          result.Xomatiq.Engine.cached
+        finish ~t0 (values_to_table columns rows) (List.length rows) false
       in
-      (job, decision.Conc.Sched.par)
-    | `Sql -> begin
-      let db = Datahounds.Warehouse.db t.wh in
-      let planned_job planned =
-        let decision =
-          Conc.Sched.plan_decision
-            ~est_cost:planned.Rdb.Planner.est_cost
-        in
-        let job () =
-          let t0 = Obs.now_s () in
-          let columns, rows =
-            Rdb.Database.run_planned db ~cancel:token planned
-          in
-          finish ~t0 (values_to_table columns rows) (List.length rows) false
-        in
-        (job, decision.Conc.Sched.par)
-      in
-      match Rdb.Sql_parser.parse text with
-      | Rdb.Sql_ast.Select_stmt sel ->
-        planned_job (Rdb.Database.plan_select db sel)
-      | Rdb.Sql_ast.Query_stmt q ->
-        planned_job (Rdb.Planner.plan_query (Rdb.Database.catalog db) q)
-      | _ ->
-        (* DML / DDL / transaction control: statement-level locking
-           serializes writers; nothing to fan out, so stay inline *)
-        (render_job `Sql, false)
-      | exception (Rdb.Sql_parser.Parse_error _ as e) ->
-        raise (Xomatiq.Engine.Query_error (Rdb.Sql_parser.error_to_string e))
-    end
-    (* pure planning, never worth a pool round-trip *)
-    | `Explain -> (render_job `Explain, false)
-    (* executes the query with unknown-ahead cost: keep it cancelable *)
-    | `Analyze -> (render_job `Analyze, true)
+      (job, dispatch planned.Rdb.Planner.est_cost)
+    in
+    match Rdb.Sql_parser.parse text with
+    | Rdb.Sql_ast.Select_stmt sel ->
+      planned_job (Rdb.Database.plan_select db sel)
+    | Rdb.Sql_ast.Query_stmt q ->
+      planned_job (Rdb.Planner.plan_query (Rdb.Database.catalog db) q)
+    | stmt ->
+      (* DML / DDL / transaction control: statement-level locking
+         serializes writers, so stay inline *)
+      (render_job (`Stmt stmt), false)
+    | exception (Rdb.Sql_parser.Parse_error _ as e) ->
+      raise (Xomatiq.Engine.Query_error (Rdb.Sql_parser.error_to_string e))
+  end
+  (* pure planning, never worth a thread hand-off *)
+  | `Explain -> (render_job `Explain, false)
+  (* executes the query with unknown-ahead cost: keep it cancelable *)
+  | `Analyze -> (render_job `Analyze, true)
 
 let storage_json wh =
   let db = Datahounds.Warehouse.db wh in
@@ -298,16 +261,11 @@ let replication_json t =
 
 let metrics_payload t sess =
   "{\"metrics\": " ^ Obs.dump_json ()
-  ^ Printf.sprintf ", \"sched\": {\"mode\": \"%s\", \"cost_threshold\": %g}"
-      (Conc.Sched.mode_tag ()) (Conc.Sched.cost_threshold ())
+  ^ Printf.sprintf ", \"sched\": {\"cost_threshold\": %g}"
+      Conc.Sched.cost_threshold
   ^ ", \"storage\": " ^ storage_json t.wh
   ^ ", \"replication\": " ^ replication_json t
   ^ ", \"session\": " ^ Session.info_json sess ^ "}"
-
-let apply_session_jobs sess =
-  match sess.Session.jobs with
-  | Some n when n <> Conc.Pool.jobs () -> Conc.Pool.set_jobs n
-  | _ -> ()
 
 let timeout_deadline t =
   match t.cfg.query_timeout_s with
@@ -332,11 +290,10 @@ let fire_wallclock_timeout t token =
    pipelining — and responses are written back strictly in request
    order, many frames per write() syscall.
 
-   The adaptive scheduler's lanes survive unchanged: cheap queries run
-   inline on the reactor thread (no hand-off at all), expensive ones
-   dispatch to a shepherd thread (static mode: the worker-domain pool)
-   while the reactor keeps reading the connection — CANCEL and BYE stay
-   live mid-query, and other sessions keep being served. *)
+   The scheduler has two lanes: cheap queries run inline on the reactor
+   thread (no hand-off at all), expensive ones dispatch to a shepherd
+   thread while the reactor keeps reading the connection — CANCEL and
+   BYE stay live mid-query, and other sessions keep being served. *)
 
 type phase = Handshaking | Ready | Closing
 
@@ -506,18 +463,8 @@ let proto_violation rl conn msg =
 let dispatch_job rl conn token job k =
   conn.inflight <- Some token;
   let finish result = R.post rl.rs.reactor (fun () -> k result) in
-  let runner =
-    match Conc.Sched.mode () with
-    | Conc.Sched.Adaptive ->
-      fun () ->
-        finish (match job () with v -> Ok v | exception e -> Error e)
-    | Conc.Sched.Static ->
-      fun () ->
-        let fut = Conc.Pool.submit (Conc.Pool.get ()) job in
-        finish
-          (match Conc.Pool.await_blocking fut with
-           | v -> Ok v
-           | exception e -> Error e)
+  let runner () =
+    finish (match job () with v -> Ok v | exception e -> Error e)
   in
   ignore (Thread.create runner ())
 
@@ -558,7 +505,6 @@ let rec pump rl conn =
 
 and start_query rl conn kind text =
   let t = rl.srv in
-  apply_session_jobs conn.c_sess;
   let token = Rdb.Cancel.create ~deadline:(timeout_deadline t) () in
   match plan_work t conn.c_sess token kind text with
   | exception e ->
@@ -982,8 +928,8 @@ let run cfg wh =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   Printf.printf
     "xomatiq server listening on %s:%d (event-driven, max-clients=%d \
-     queue-depth=%d window=%d jobs=%d)\n%!"
+     queue-depth=%d window=%d)\n%!"
     cfg.host (port t)
-    cfg.max_clients cfg.queue_depth cfg.pipeline_window (Conc.Pool.jobs ());
+    cfg.max_clients cfg.queue_depth cfg.pipeline_window;
   wait t;
   Printf.printf "xomatiq server drained\n%!"

@@ -123,19 +123,15 @@ let normalize_query_text text =
     text;
   Buffer.contents buf
 
-(* The effective worker count is part of the key: a plan built at jobs=4
-   carries Exchange partitions that a jobs=1 run must not reuse (and vice
-   versa), exactly like the contains-strategy tag. *)
+(* Everything besides the query text that shapes the physical plan is
+   part of the key: the contains strategy, the structural-join hook and
+   the vectorized-executor toggle (the rewrite pass runs only when
+   vectorized), so a cached plan from one setting never serves another. *)
 let strategy_tag strategy =
   let s = match strategy with `Keyword_index -> "kw" | `Like_scan -> "like" in
-  (* the structural-join and vectorized-executor toggles change the
-     physical plan (the rewrite pass runs only when vectorized), and the
-     scheduler mode changes how a plan is granted workers, so a cached
-     plan from one setting must not serve the other *)
-  Printf.sprintf "%s/j%d/sj%d/v%d/%s" s (Conc.Pool.jobs ())
+  Printf.sprintf "%s/sj%d/v%d" s
     (if Rdb.Planner.structural_enabled () then 1 else 0)
     (if Rdb.Rewrite.enabled () then 1 else 0)
-    (Conc.Sched.mode_tag ())
 
 let catalog_version wh =
   Rdb.Catalog.version (Rdb.Database.catalog (Datahounds.Warehouse.db wh))
@@ -403,7 +399,7 @@ let run_prepared p =
 
    The query server plans on the session thread — one plan-cache lookup
    on the hot path — reads the root cost estimate off the plan to pick a
-   scheduling lane (inline vs. pool dispatch), and only then runs the
+   scheduling lane (inline vs. dispatched), and only then runs the
    query. Unlike [run_text_cached], preparation populates the cache
    before execution: a query that later times out or is canceled should
    not pay translation again. *)
@@ -443,8 +439,8 @@ let prepared_cost pt =
   | None -> 0.
 
 (* A memoized preparation stays valid while the warehouse, its catalog
-   version and every plan-shaping toggle (strategy/jobs/structural/vec/
-   sched — all folded into the tag) are unchanged. *)
+   version and every plan-shaping toggle (strategy/structural/vec, all
+   folded into the tag) are unchanged. *)
 let prepared_valid ~contains_strategy wh pt =
   pt.pt_entry.ce_wh == wh
   && pt.pt_entry.ce_version = catalog_version wh

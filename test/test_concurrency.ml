@@ -1,5 +1,5 @@
-(* Multicore XomatiQ: the domain pool itself, Exchange-parallel query
-   execution, parallel Data Hounds loading, and domain-safety of the
+(* Multicore XomatiQ: the domain pool itself, the server's query
+   scheduler, parallel Data Hounds loading, and domain-safety of the
    shared engine state (plan cache, Obs counters, catalog version). *)
 
 let check = Alcotest.check
@@ -9,8 +9,8 @@ module D = Datahounds
 (* ---------------- the pool ---------------- *)
 
 let test_parallel_map () =
-  let pool = Conc.Pool.create 4 in
-  Fun.protect ~finally:(fun () -> Conc.Pool.shutdown pool) @@ fun () ->
+  Conc.Pool.with_jobs 4 @@ fun () ->
+  let pool = Conc.Pool.get () in
   let xs = List.init 100 Fun.id in
   check
     Alcotest.(list int)
@@ -20,36 +20,19 @@ let test_parallel_map () =
   check Alcotest.(list int) "empty input" []
     (Conc.Pool.parallel_map pool (fun x -> x) []);
   (* a pool of size 1 degenerates to List.map *)
-  let p1 = Conc.Pool.create 1 in
-  check
-    Alcotest.(list int)
-    "size-1 pool" [ 2; 4; 6 ]
-    (Conc.Pool.parallel_map p1 (fun x -> 2 * x) [ 1; 2; 3 ]);
-  Conc.Pool.shutdown p1
-
-let test_parallel_chunks () =
-  let pool = Conc.Pool.create 3 in
-  Fun.protect ~finally:(fun () -> Conc.Pool.shutdown pool) @@ fun () ->
-  let ranges = Conc.Pool.parallel_chunks pool ~n:10 (fun lo hi -> (lo, hi)) in
-  (* contiguous cover of [0, 10) in order *)
-  let flat =
-    List.concat_map (fun (lo, hi) -> List.init (hi - lo) (fun i -> lo + i)) ranges
-  in
-  check Alcotest.(list int) "chunks cover the range once, in order"
-    (List.init 10 Fun.id) flat;
-  check Alcotest.(list (pair int int)) "n smaller than pool" [ (0, 1); (1, 2) ]
-    (Conc.Pool.parallel_chunks pool ~n:2 (fun lo hi -> (lo, hi)));
-  check Alcotest.(list (pair int int)) "n = 0" []
-    (Conc.Pool.parallel_chunks pool ~n:0 (fun lo hi -> (lo, hi)))
+  Conc.Pool.with_jobs 1 (fun () ->
+      check
+        Alcotest.(list int)
+        "size-1 pool" [ 2; 4; 6 ]
+        (Conc.Pool.parallel_map (Conc.Pool.get ()) (fun x -> 2 * x) [ 1; 2; 3 ]))
 
 exception Boom of int
 
 let test_exception_propagation () =
-  let pool = Conc.Pool.create 4 in
-  Fun.protect ~finally:(fun () -> Conc.Pool.shutdown pool) @@ fun () ->
+  Conc.Pool.with_jobs 4 @@ fun () ->
   (* the first failure by input position is the one reported *)
   match
-    Conc.Pool.parallel_map pool
+    Conc.Pool.parallel_map (Conc.Pool.get ())
       (fun x -> if x mod 3 = 2 then raise (Boom x) else x)
       (List.init 20 Fun.id)
   with
@@ -59,8 +42,8 @@ let test_exception_propagation () =
 let test_nested_submission () =
   (* a task that itself fans out through the same pool must not deadlock:
      the awaiting caller helps drain the queue *)
-  let pool = Conc.Pool.create 2 in
-  Fun.protect ~finally:(fun () -> Conc.Pool.shutdown pool) @@ fun () ->
+  Conc.Pool.with_jobs 2 @@ fun () ->
+  let pool = Conc.Pool.get () in
   let outer =
     Conc.Pool.parallel_map pool
       (fun i ->
@@ -74,7 +57,6 @@ let test_jobs_controls () =
   let saved = Conc.Pool.jobs () in
   Conc.Pool.set_jobs 3;
   check Alcotest.int "set_jobs" 3 (Conc.Pool.jobs ());
-  check Alcotest.int "pool matches" 3 (Conc.Pool.size (Conc.Pool.get ()));
   Conc.Pool.with_jobs 1 (fun () ->
       check Alcotest.int "with_jobs overrides" 1 (Conc.Pool.jobs ()));
   check Alcotest.int "with_jobs restores" 3 (Conc.Pool.jobs ());
@@ -89,84 +71,26 @@ let contains_sub s sub =
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
-(* ---------------- the adaptive scheduler ---------------- *)
+(* ---------------- the scheduler ---------------- *)
 
-let test_sched_plan_decisions () =
+(* The lane depends on the cost estimate alone, never on the jobs
+   setting. *)
+let test_sched_lanes () =
   let open Conc.Sched in
-  with_mode Adaptive (fun () ->
-      Conc.Pool.with_jobs 2 (fun () ->
-          let cheap = plan_decision ~est_cost:10. in
-          check Alcotest.bool "cheap query stays sequential" false cheap.par;
-          check Alcotest.string "cheap reason" "cost" cheap.reason;
-          let costly = plan_decision ~est_cost:1e9 in
-          check Alcotest.bool "expensive query requests workers" true
-            costly.par;
-          check Alcotest.int "worker request matches jobs" 2 costly.workers;
-          check Alcotest.string "expensive reason" "pool-idle" costly.reason;
+  List.iter
+    (fun jobs ->
+      Conc.Pool.with_jobs jobs (fun () ->
+          let at = Printf.sprintf "jobs=%d: %s" jobs in
+          check Alcotest.bool (at "cheap query runs inline") true
+            (lane ~est_cost:10. = Inline);
+          check Alcotest.bool (at "expensive query is dispatched") true
+            (lane ~est_cost:1e9 = Dispatch);
           (* the threshold is the exact boundary *)
-          let at = plan_decision ~est_cost:(cost_threshold ()) in
-          check Alcotest.bool "cost at threshold goes parallel" true at.par);
-      Conc.Pool.with_jobs 1 (fun () ->
-          let costly = plan_decision ~est_cost:1e9 in
-          check Alcotest.bool "jobs=1 never parallel" false costly.par;
-          check Alcotest.string "jobs=1 reason" "forced" costly.reason));
-  with_mode Static (fun () ->
-      Conc.Pool.with_jobs 2 (fun () ->
-          let d = plan_decision ~est_cost:0. in
-          check Alcotest.bool "static dispatches even free queries" true d.par;
-          check Alcotest.string "static reason" "forced" d.reason);
-      Conc.Pool.with_jobs 1 (fun () ->
-          check Alcotest.bool "static at jobs=1 is sequential" false
-            (plan_decision ~est_cost:1e9).par))
-
-let test_pool_available () =
-  let pool = Conc.Pool.create 3 in
-  Fun.protect ~finally:(fun () -> Conc.Pool.shutdown pool) @@ fun () ->
-  check Alcotest.int "idle pool: every worker available" 2
-    (Conc.Pool.available pool);
-  (* park both workers on a gate and watch availability drain *)
-  let gate = Atomic.make false in
-  let futs =
-    List.init 2 (fun _ ->
-        Conc.Pool.submit pool (fun () ->
-            while not (Atomic.get gate) do Domain.cpu_relax () done))
-  in
-  let rec await_value what want tries =
-    let got = Conc.Pool.available pool in
-    if got = want then ()
-    else if tries = 0 then
-      Alcotest.fail (Printf.sprintf "%s: available=%d, want %d" what got want)
-    else begin Thread.delay 0.01; await_value what want (tries - 1) end
-  in
-  await_value "busy pool exhausts availability" 0 300;
-  (* the run-time idle gate refuses a fan-out right now *)
-  Conc.Sched.with_mode Conc.Sched.Adaptive (fun () ->
-      check Alcotest.bool "no idle worker: degrade to sequential" false
-        (Conc.Sched.exchange_parallel pool ~workers:3);
-      check Alcotest.bool "static mode ignores occupancy" true
-        (Conc.Sched.with_mode Conc.Sched.Static (fun () ->
-             Conc.Sched.exchange_parallel pool ~workers:3)));
-  Atomic.set gate true;
-  List.iter (Conc.Pool.await_blocking) futs;
-  await_value "drained pool recovers" 2 300;
-  Conc.Sched.with_mode Conc.Sched.Adaptive (fun () ->
-      check Alcotest.bool "idle again: fan-out granted" true
-        (Conc.Sched.exchange_parallel pool ~workers:3))
-
-let test_pool_peek () =
-  (* [peek] never creates the pool; a [with_jobs] override above 1
-     creates it eagerly so adaptive Exchange gates — which only peek —
-     can borrow its workers even on a single-core host *)
-  Conc.Pool.with_jobs 3 (fun () ->
-      match Conc.Pool.peek () with
-      | Some p ->
-        check Alcotest.int "eager pool matches override" 3 (Conc.Pool.size p)
-      | None -> Alcotest.fail "with_jobs 3 must create the pool");
-  (* leaving the scope retires the override-sized pool *)
-  match Conc.Pool.peek () with
-  | Some p ->
-    check Alcotest.bool "override pool retired" true (Conc.Pool.size p <> 3)
-  | None -> ()
+          check Alcotest.bool (at "cost at threshold is dispatched") true
+            (lane ~est_cost:cost_threshold = Dispatch);
+          check Alcotest.bool (at "cost just below threshold runs inline") true
+            (lane ~est_cost:(cost_threshold -. 1.) = Inline)))
+    [ 1; 4 ]
 
 let test_explain_sched_footer () =
   let db = Rdb.Database.open_in_memory () in
@@ -178,99 +102,21 @@ let test_explain_sched_footer () =
    with
    | Ok _ -> ()
    | Error m -> failwith m);
-  Conc.Sched.with_mode Conc.Sched.Adaptive @@ fun () ->
-  Conc.Pool.with_jobs 2 @@ fun () ->
-  let explain sql =
-    match Rdb.Database.explain db sql with
-    | Ok p -> p
-    | Error m -> failwith m
-  in
-  let cheap = explain "SELECT id FROM t WHERE id < 5" in
-  check Alcotest.bool "cheap plan announces sequential lane" true
-    (contains_sub cheap "sched=seq");
-  check Alcotest.bool "cheap plan names the cost gate" true
-    (contains_sub cheap "reason=cost");
-  let costly = explain "SELECT COUNT(1) FROM t a, t b, t c" in
-  check Alcotest.bool "expensive plan requests workers" true
-    (contains_sub costly "sched=par");
-  check Alcotest.bool "worker count surfaced" true
-    (contains_sub costly "workers=2")
-
-(* ---------------- Exchange-parallel scans ---------------- *)
-
-let scan_fixture () =
-  let db = Rdb.Database.open_in_memory () in
-  ignore (Rdb.Database.exec_exn db "CREATE TABLE big (id INTEGER, v TEXT)");
-  let rows =
-    List.init 500 (fun i ->
-        [| Rdb.Value.Int i; Rdb.Value.Text (Printf.sprintf "v%03d" (i mod 97)) |])
-  in
-  (match Rdb.Database.insert_rows db ~table:"big" rows with
-   | Ok _ -> ()
-   | Error m -> failwith m);
-  db
-
-let with_low_threshold f =
-  (* the planner reads XOMATIQ_PAR_THRESHOLD on every plan, so the test
-     can lower it below the fixture's 500 rows and restore it after *)
-  Unix.putenv "XOMATIQ_PAR_THRESHOLD" "100";
-  Fun.protect ~finally:(fun () -> Unix.putenv "XOMATIQ_PAR_THRESHOLD" "") f
-
-let test_exchange_plan () =
-  let db = scan_fixture () in
-  with_low_threshold @@ fun () ->
-  let sql = "SELECT id, v FROM big WHERE v = 'v007'" in
-  let plan_at jobs =
+  let explain jobs sql =
     Conc.Pool.with_jobs jobs (fun () ->
         match Rdb.Database.explain db sql with
         | Ok p -> p
         | Error m -> failwith m)
   in
-  let seq = plan_at 1 and par = plan_at 4 in
-  check Alcotest.bool "jobs=1 has no Exchange" false (contains_sub seq "Exchange");
-  check Alcotest.bool "jobs=4 plans an Exchange" true
-    (contains_sub par "Exchange workers=4");
-  check Alcotest.bool "partitions are visible" true (contains_sub par "part=1/4");
-  Rdb.Database.close db
-
-let test_exchange_results_identical () =
-  let db = scan_fixture () in
-  with_low_threshold @@ fun () ->
-  let queries =
-    [ "SELECT id, v FROM big WHERE v = 'v007'";
-      "SELECT COUNT(1) FROM big WHERE id >= 250";
-      (* hash join: the build side is also eligible for partitioning *)
-      "SELECT a.id, b.id FROM big a, big b WHERE a.v = b.v AND a.id < 5" ]
-  in
-  List.iter
-    (fun sql ->
-      let run jobs =
-        Conc.Pool.with_jobs jobs (fun () -> Rdb.Database.query db sql)
-      in
-      match (run 1, run 4) with
-      | Ok (c1, r1), Ok (c4, r4) ->
-        check Alcotest.(list string) (sql ^ ": columns") c1 c4;
-        check Alcotest.int (sql ^ ": row count") (List.length r1) (List.length r4);
-        List.iteri
-          (fun i (a, b) ->
-            if a <> b then
-              Alcotest.fail
-                (Printf.sprintf "%s: row %d differs (parallel order broke)" sql i))
-          (List.combine r1 r4)
-      | Error m, _ | _, Error m -> failwith m)
-    queries;
-  (* EXPLAIN ANALYZE surfaces per-worker row counters *)
-  let out =
-    Conc.Pool.with_jobs 4 (fun () ->
-        match Rdb.Database.explain_analyze db "SELECT id FROM big WHERE id < 9" with
-        | Ok p -> p
-        | Error m -> failwith m)
-  in
-  check Alcotest.bool "analyze shows workers" true
-    (contains_sub out "Exchange workers=4");
-  check Alcotest.bool "analyze shows per-partition stats" true
-    (contains_sub out "part=1/4");
-  Rdb.Database.close db
+  let cheap = explain 1 "SELECT id FROM t WHERE id < 5" in
+  check Alcotest.bool "cheap plan announces the inline lane" true
+    (contains_sub cheap "sched=seq workers=1 reason=cost");
+  let costly_sql = "SELECT COUNT(1) FROM t a, t b, t c" in
+  let costly = explain 1 costly_sql in
+  check Alcotest.bool "expensive plan announces the dispatched lane" true
+    (contains_sub costly "sched=thread workers=1 reason=cost");
+  check Alcotest.string "the footer ignores the jobs setting" costly
+    (explain 4 costly_sql)
 
 (* ---------------- parallel Data Hounds ---------------- *)
 
@@ -387,9 +233,7 @@ let test_multi_domain_queries () =
   (* several domains hammer the same warehouse through the cached engine
      path: results must all agree and cache bookkeeping must balance *)
   let wh = load_universe_at 1 in
-  let reference =
-    Conc.Pool.with_jobs 1 (fun () -> Xomatiq.Engine.run_text wh stress_query)
-  in
+  let reference = Xomatiq.Engine.run_text wh stress_query in
   Xomatiq.Engine.cache_clear ();
   let per_domain = 25 in
   let domains =
@@ -578,24 +422,15 @@ let () =
   Alcotest.run "concurrency"
     [ ( "pool",
         [ Alcotest.test_case "parallel_map order + size-1" `Quick test_parallel_map;
-          Alcotest.test_case "parallel_chunks ranges" `Quick test_parallel_chunks;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
           Alcotest.test_case "nested submission (helping)" `Quick
             test_nested_submission;
           Alcotest.test_case "jobs controls" `Quick test_jobs_controls ] );
       ( "scheduler",
-        [ Alcotest.test_case "plan-time cost gate" `Quick
-            test_sched_plan_decisions;
-          Alcotest.test_case "run-time idle gate (Pool.available)" `Quick
-            test_pool_available;
-          Alcotest.test_case "peek never spawns domains" `Quick test_pool_peek;
+        [ Alcotest.test_case "plan-time cost gate" `Quick test_sched_lanes;
           Alcotest.test_case "EXPLAIN surfaces the decision" `Quick
             test_explain_sched_footer ] );
-      ( "exchange",
-        [ Alcotest.test_case "planner wraps big scans" `Quick test_exchange_plan;
-          Alcotest.test_case "results identical at any jobs" `Quick
-            test_exchange_results_identical ] );
       ( "data-hounds",
         [ Alcotest.test_case "parallel load byte-identical" `Quick
             test_parallel_harvest_identical;

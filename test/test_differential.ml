@@ -127,19 +127,13 @@ RETURN $a//embl_accession_number|}
     (like "alpha_2");
   D.Warehouse.close wh
 
-(* Parallel determinism: the same mix, every seed, both contains()
-   rewrites, evaluated with the domain pool at jobs=1 and jobs=4 — the
-   rendered output must be byte-identical. XOMATIQ_PAR_THRESHOLD is
-   forced to 1 so the planner wraps even these small test tables in
-   Exchange operators and the parallel path is genuinely exercised. *)
-let with_forced_parallelism f =
-  Unix.putenv "XOMATIQ_PAR_THRESHOLD" "1";
-  Fun.protect ~finally:(fun () -> Unix.putenv "XOMATIQ_PAR_THRESHOLD" "") f
-
+(* Jobs independence: the same mix, every seed, both contains()
+   rewrites, planned and evaluated with the domain pool at jobs=1 and
+   jobs=4 — every query has one sequential plan, so the EXPLAIN text and
+   the rendered output must be byte-identical. *)
 let strategies = [ ("keyword-index", `Keyword_index); ("like-scan", `Like_scan) ]
 
 let run_jobs_determinism seed () =
-  with_forced_parallelism @@ fun () ->
   let u = universe_of seed in
   let wh = D.Warehouse.create () in
   (match Workload.Genbio.load_universe wh u with
@@ -149,6 +143,14 @@ let run_jobs_determinism seed () =
   List.iter
     (fun (cls, text) ->
       let name = Workload.Query_mix.class_name cls in
+      let plan_at jobs =
+        Conc.Pool.with_jobs jobs (fun () ->
+            Xomatiq.Engine.explain wh (Xomatiq.Parser.parse text))
+      in
+      check string
+        (Printf.sprintf "%s plan jobs=1 vs jobs=4 (seed %d): %s" name seed
+           text)
+        (plan_at 1) (plan_at 4);
       List.iter
         (fun (slabel, strategy) ->
           let at jobs =
@@ -176,16 +178,11 @@ let run_jobs_determinism seed () =
 (* ---------------- structural join vs hash/NLJ baseline ----------------
 
    The planner's structural (interval containment) merge join must be a
-   pure physical optimization: with XOMATIQ_STRUCTURAL_JOIN=0 the same
-   region predicates execute as hash join + filter, and the rendered
-   tables must be byte-identical — over random document trees, for both
-   contains() rewrites, and at jobs=1 vs jobs=4. *)
-
-let with_structural_join enabled f =
-  Unix.putenv "XOMATIQ_STRUCTURAL_JOIN" (if enabled then "1" else "0");
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "XOMATIQ_STRUCTURAL_JOIN" "")
-    f
+   pure physical optimization: with the structural join off
+   ([Rdb.Planner.with_structural_join false]) the same region predicates
+   execute as hash join + filter, and the rendered tables must be
+   byte-identical — over random document trees and for both contains()
+   rewrites. *)
 
 let structural_queries =
   [ {|FOR $e IN document("c")/list
@@ -244,25 +241,17 @@ let structural_join_prop =
         (fun text ->
           List.iter
             (fun (slabel, strategy) ->
-              let table ~structural ~jobs =
-                with_structural_join structural (fun () ->
-                    with_forced_parallelism (fun () ->
-                        Conc.Pool.with_jobs jobs (fun () ->
-                            Xomatiq.Engine.result_to_table
-                              (Xomatiq.Engine.run_text
-                                 ~contains_strategy:strategy wh text))))
+              let table structural =
+                Rdb.Planner.with_structural_join structural (fun () ->
+                    Xomatiq.Engine.result_to_table
+                      (Xomatiq.Engine.run_text ~contains_strategy:strategy wh
+                         text))
               in
-              let baseline = table ~structural:false ~jobs:1 in
-              let seq = table ~structural:true ~jobs:1 in
-              let par = table ~structural:true ~jobs:4 in
-              if seq <> baseline then
+              let baseline = table false and structural = table true in
+              if structural <> baseline then
                 QCheck.Test.fail_reportf
                   "structural/%s differs from baseline on %s:\n%s\nvs\n%s"
-                  slabel text seq baseline;
-              if par <> seq then
-                QCheck.Test.fail_reportf
-                  "structural/%s jobs=4 differs from jobs=1 on %s:\n%s\nvs\n%s"
-                  slabel text par seq)
+                  slabel text structural baseline)
             strategies)
         structural_queries;
       D.Warehouse.close wh;
@@ -311,9 +300,8 @@ let run_structural_plan_chosen () =
 
    The batch executor (XOMATIQ_VEC=1, the default) plus the rewrite pass
    must be a pure physical optimization: for every query in the paper's
-   mix, every seed, both contains() rewrites and jobs=1 vs jobs=4, the
-   rendered table must be byte-identical to the iterator reference
-   (XOMATIQ_VEC=0) at jobs=1. *)
+   mix, every seed and both contains() rewrites, the rendered table must
+   be byte-identical to the iterator reference (XOMATIQ_VEC=0). *)
 
 let with_vec v f =
   let prev = Sys.getenv_opt "XOMATIQ_VEC" in
@@ -324,7 +312,6 @@ let with_vec v f =
     f
 
 let run_vec_determinism seed () =
-  with_forced_parallelism @@ fun () ->
   let u = universe_of seed in
   let wh = D.Warehouse.create () in
   (match Workload.Genbio.load_universe wh u with
@@ -336,24 +323,17 @@ let run_vec_determinism seed () =
       let name = Workload.Query_mix.class_name cls in
       List.iter
         (fun (slabel, strategy) ->
-          let at ~vec ~jobs =
+          let at vec =
             with_vec vec (fun () ->
-                Conc.Pool.with_jobs jobs (fun () ->
-                    Xomatiq.Engine.result_to_table
-                      (Xomatiq.Engine.run_text ~contains_strategy:strategy wh
-                         text)))
+                Xomatiq.Engine.result_to_table
+                  (Xomatiq.Engine.run_text ~contains_strategy:strategy wh
+                     text))
           in
-          let baseline = at ~vec:"0" ~jobs:1 in
-          List.iter
-            (fun (clabel, table) ->
-              check string
-                (Printf.sprintf
-                   "%s/%s %s byte-identical to iterator jobs=1 (seed %d): %s"
-                   name slabel clabel seed text)
-                baseline table)
-            [ ("vec=1 jobs=1", at ~vec:"1" ~jobs:1);
-              ("vec=1 jobs=4", at ~vec:"1" ~jobs:4);
-              ("vec=0 jobs=4", at ~vec:"0" ~jobs:4) ])
+          check string
+            (Printf.sprintf
+               "%s/%s vec=1 byte-identical to iterator (seed %d): %s"
+               name slabel seed text)
+            (at "0") (at "1"))
         strategies)
     mix;
   D.Warehouse.close wh
@@ -526,11 +506,6 @@ let rewrite_rule_prop =
       Fun.protect ~finally:(fun () -> Rdb.Database.close db) @@ fun () ->
       let queries = vec_queries k in
       List.iter (check_rules_on db) queries;
-      (* same plans, Exchange-wrapped: forced parallelism exercises the
-         Filter-over-Exchange merge and prune-inside-partitions paths *)
-      with_forced_parallelism (fun () ->
-          Conc.Pool.with_jobs 4 (fun () ->
-              List.iter (check_rules_on db) queries));
       true)
 
 (* The property would pass vacuously for a rule that never fires; the
@@ -602,11 +577,11 @@ let () =
           Alcotest.test_case "parallel harvest round-trip" `Quick
             run_jobs_harvest_roundtrip ] );
       ( "vectorized",
-        [ Alcotest.test_case "seed 11, vec=1 vs vec=0 x jobs" `Quick
+        [ Alcotest.test_case "seed 11, vec=1 vs vec=0" `Quick
             (run_vec_determinism 11);
-          Alcotest.test_case "seed 23, vec=1 vs vec=0 x jobs" `Quick
+          Alcotest.test_case "seed 23, vec=1 vs vec=0" `Quick
             (run_vec_determinism 23);
-          Alcotest.test_case "seed 47, vec=1 vs vec=0 x jobs" `Quick
+          Alcotest.test_case "seed 47, vec=1 vs vec=0" `Quick
             (run_vec_determinism 47) ] );
       ( "rewrite-rules",
         [ QCheck_alcotest.to_alcotest rewrite_rule_prop;

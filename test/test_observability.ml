@@ -258,42 +258,36 @@ let with_vec v f =
 
 let test_golden_plans () =
   let wh = Lazy.force loaded_warehouse in
-  (* pin to one worker, the vectorized path, and the adaptive scheduler:
-     the snapshots record the sequential rewritten plans — a multicore
-     run (XOMATIQ_JOBS) would wrap big scans in Exchange, XOMATIQ_VEC=0
-     would skip the rewrite pass, and XOMATIQ_SCHED=static would change
-     the Scheduler footer *)
-  Conc.Sched.with_mode Conc.Sched.Adaptive (fun () ->
-  Conc.Pool.with_jobs 1 (fun () ->
-      with_vec "1" (fun () ->
-          List.iter
-            (fun (name, q) ->
-              golden name (Xomatiq.Engine.explain wh (Xomatiq.Parser.parse q)))
-            [ ("fig8-keyword", fig8_keyword_query);
-              ("fig9-subtree", fig9_subtree_query);
-              ("fig11-join", fig11_join_query) ])))
+  (* pin the vectorized path: the snapshots record the rewritten plans,
+     and XOMATIQ_VEC=0 would skip the rewrite pass *)
+  with_vec "1" (fun () ->
+      List.iter
+        (fun (name, q) ->
+          golden name (Xomatiq.Engine.explain wh (Xomatiq.Parser.parse q)))
+        [ ("fig8-keyword", fig8_keyword_query);
+          ("fig9-subtree", fig9_subtree_query);
+          ("fig11-join", fig11_join_query) ])
 
 (* the three figure queries must actually take the vectorized path: the
    rewrite footer and a fused scan+filter prove the batch executor and
    the rewrite pass both see them *)
 let test_vectorized_plans () =
   let wh = Lazy.force loaded_warehouse in
-  Conc.Pool.with_jobs 1 (fun () ->
-      with_vec "1" (fun () ->
-          List.iter
-            (fun (name, q) ->
-              let s = Xomatiq.Engine.explain wh (Xomatiq.Parser.parse q) in
-              check bool
-                (name ^ ": explain has vectorized footer")
-                true
-                (contains_sub ~needle:"Vectorized: batch=" s);
-              check bool
-                (name ^ ": a scan+filter was fused")
-                true
-                (contains_sub ~needle:"[fused=scan+filter]" s))
-            [ ("fig8-keyword", fig8_keyword_query);
-              ("fig9-subtree", fig9_subtree_query);
-              ("fig11-join", fig11_join_query) ]))
+  with_vec "1" (fun () ->
+      List.iter
+        (fun (name, q) ->
+          let s = Xomatiq.Engine.explain wh (Xomatiq.Parser.parse q) in
+          check bool
+            (name ^ ": explain has vectorized footer")
+            true
+            (contains_sub ~needle:"Vectorized: batch=" s);
+          check bool
+            (name ^ ": a scan+filter was fused")
+            true
+            (contains_sub ~needle:"[fused=scan+filter]" s))
+        [ ("fig8-keyword", fig8_keyword_query);
+          ("fig9-subtree", fig9_subtree_query);
+          ("fig11-join", fig11_join_query) ])
 
 (* ---------------- runner ---------------- *)
 

@@ -7,15 +7,15 @@ let rows_t = Alcotest.(list (list string))
 
 module D = Datahounds
 
-let universe =
+let universe_of n =
   Workload.Genbio.generate
-    { Workload.Genbio.seed = 3; n_enzymes = 20; n_embl = 20; n_sprot = 20;
+    { Workload.Genbio.seed = 3; n_enzymes = n; n_embl = n; n_sprot = n;
       n_citations = 10; cdc6_rate = 0.1; ketone_rate = 0.25; ec_link_rate = 0.8;
       seq_length = 40 }
 
-let fresh_warehouse () =
+let fresh_warehouse ?(n = 20) () =
   let wh = D.Warehouse.create () in
-  (match Workload.Genbio.load_universe wh universe with
+  (match Workload.Genbio.load_universe wh (universe_of n) with
    | Ok () -> ()
    | Error m -> failwith m);
   wh
@@ -120,30 +120,55 @@ let test_invalidation () =
     (Xomatiq.Engine.cache_stats ());
   D.Warehouse.close wh
 
-(* Regression: the effective worker count is part of the cache key. A
-   plan translated at jobs=1 carries no Exchange operators; serving it
-   at jobs=4 (or vice versa) would silently pin the parallelism of the
-   first caller. Each jobs setting must translate its own entry, and
-   repeat runs at the same setting must hit it. *)
-let test_jobs_in_key () =
-  let wh = fresh_warehouse () in
-  Unix.putenv "XOMATIQ_PAR_THRESHOLD" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "XOMATIQ_PAR_THRESHOLD" "")
-  @@ fun () ->
+(* Every query has one sequential plan at every jobs setting: the jobs
+   setting is not part of the cache key, a plan cached at jobs=1 serves
+   jobs=4, and EXPLAIN is byte-identical at both. The warehouse is big
+   enough that its node table would once have been split into parallel
+   partitions (over 2000 rows). *)
+let figure_queries =
+  [ {|FOR $a IN document("hlx_embl.inv")/hlx_n_sequence,
+    $b IN document("hlx_sprot.all")/hlx_n_sequence
+WHERE contains($a, "cdc6", any) AND contains($b, "cdc6", any)
+RETURN $b//sprot_accession_number, $a//embl_accession_number|};
+    q;
+    {|FOR $a IN document("hlx_embl.inv")/hlx_n_sequence/db_entry,
+    $b IN document("hlx_enzyme.DEFAULT")/hlx_enzyme/db_entry
+WHERE $a//qualifier[@qualifier_type = "EC number"] = $b/enzyme_id
+RETURN $Accession_Number = $a//embl_accession_number,
+       $Accession_Description = $a//description|} ]
+
+let test_one_plan_at_every_jobs () =
+  let wh = fresh_warehouse ~n:60 () in
+  let db = D.Warehouse.db wh in
+  (match Rdb.Database.query db "SELECT COUNT(1) FROM xml_node" with
+   | Ok (_, [ [| Rdb.Value.Int n |] ]) ->
+     check Alcotest.bool
+       (Printf.sprintf "node table exceeds 2000 rows (%d)" n)
+       true (n > 2000)
+   | _ -> Alcotest.fail "cannot count xml_node");
+  let at jobs f = Conc.Pool.with_jobs jobs f in
+  List.iter
+    (fun text ->
+      let explain () = Xomatiq.Engine.explain wh (Xomatiq.Parser.parse text) in
+      check Alcotest.string ("EXPLAIN jobs=4 = jobs=1: " ^ text)
+        (at 1 explain) (at 4 explain))
+    figure_queries;
+  let scan_sql = "SELECT node_id FROM xml_node WHERE sval LIKE '%cdc6%'" in
+  let explain_sql () =
+    match Rdb.Database.explain db scan_sql with
+    | Ok p -> p
+    | Error m -> failwith m
+  in
+  check Alcotest.string "full-scan EXPLAIN jobs=4 = jobs=1" (at 1 explain_sql)
+    (at 4 explain_sql);
   Xomatiq.Engine.cache_clear ();
-  let at jobs = Conc.Pool.with_jobs jobs (fun () -> Xomatiq.Engine.run_text wh q) in
-  let r1 = at 1 in
+  let r1 = at 1 (fun () -> Xomatiq.Engine.run_text wh q) in
   check Alcotest.int "jobs=1 translates" 1 (misses ());
-  let r4 = at 4 in
-  check Alcotest.int "jobs=4 misses: distinct key" 2 (misses ());
-  check Alcotest.int "jobs=4 did not hit the jobs=1 entry" 0 (hits ());
+  let r4 = at 4 (fun () -> Xomatiq.Engine.run_text wh q) in
+  check Alcotest.int "jobs=4 hits the jobs=1 entry" 1 (hits ());
+  check Alcotest.int "no second translation" 1 (misses ());
+  check Alcotest.bool "jobs=4 run reports the hit" true r4.Xomatiq.Engine.cached;
   check rows_t "both settings agree" r1.Xomatiq.Engine.rows r4.Xomatiq.Engine.rows;
-  ignore (at 4);
-  check Alcotest.int "repeat at jobs=4 hits" 1 (hits ());
-  ignore (at 1);
-  check Alcotest.int "back at jobs=1 hits its own entry" 2 (hits ());
-  check Alcotest.int "no extra translations" 2 (misses ());
   D.Warehouse.close wh
 
 let () =
@@ -153,5 +178,5 @@ let () =
             test_hits_identical;
           Alcotest.test_case "DML/DDL/ANALYZE invalidate" `Quick
             test_invalidation;
-          Alcotest.test_case "worker count is part of the key" `Quick
-            test_jobs_in_key ] ) ]
+          Alcotest.test_case "one plan at every jobs setting" `Quick
+            test_one_plan_at_every_jobs ] ) ]

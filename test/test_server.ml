@@ -414,6 +414,28 @@ let test_bad_set_option () =
   check Alcotest.string "usable after rejected option" "ok"
     (Xserver.Client.ping c "ok")
 
+(* [jobs] is not a session option: the domain pool is process-wide and
+   queries never use it, so SET jobs gets the same typed rejection as
+   any other unknown name. *)
+let test_set_jobs_unknown () =
+  with_warehouse 7 @@ fun wh _u ->
+  with_server wh @@ fun _t port ->
+  let c = connect port in
+  Fun.protect ~finally:(fun () -> Xserver.Client.close c) @@ fun () ->
+  let rejection name value =
+    match Xserver.Client.set_option c ~name ~value with
+    | ack -> fail (Printf.sprintf "SET %s accepted: %s" name ack)
+    | exception Xserver.Client.Server_error (code, msg) -> (code, msg)
+  in
+  let code, msg = rejection "jobs" "4" in
+  check Alcotest.string "typed query error" P.err_query code;
+  check Alcotest.string "unknown-option message"
+    "unknown option \"jobs\" (strategy | format)" msg;
+  check Alcotest.string "same code as any unknown option" code
+    (fst (rejection "frobnicate" "1"));
+  check Alcotest.string "usable after rejected option" "ok"
+    (Xserver.Client.ping c "ok")
+
 (* ---------------- admission control ---------------- *)
 
 let test_server_busy () =
@@ -514,11 +536,16 @@ let test_query_timeout () =
   check Alcotest.bool "real query still works" true (s.P.sum_rows > 0)
 
 let test_client_cancel () =
-  (* mid-flight CANCEL needs the query on a worker domain so the session
-     thread keeps watching the socket *)
-  Conc.Pool.set_jobs 2;
+  (* an expensive query is dispatched off the reactor thread at any jobs
+     setting, jobs=1 included, so the reactor keeps watching the socket
+     for CANCEL; the deadline only bounds the test should the CANCEL
+     frame go unread (it would then fail with TIMEOUT) *)
+  Conc.Pool.with_jobs 1 @@ fun () ->
   with_warehouse 7 @@ fun wh _u ->
-  with_server wh @@ fun _t port ->
+  let cfg =
+    { Xserver.Server.default_config with query_timeout_s = Some 5. }
+  in
+  with_server ~cfg wh @@ fun _t port ->
   let c = connect ~timeout_s:30. port in
   Fun.protect ~finally:(fun () -> Xserver.Client.close c) @@ fun () ->
   Xserver.Client.send_raw c P.tag_sql slow_sql;
@@ -822,14 +849,12 @@ let test_idle_connection_soak () =
 
 (* Eight concurrent sessions, alternating contains-strategies, each
    running the full workload mix — every response must be byte-identical
-   to the sequential in-process rendering computed up front. Runs under
-   both scheduler modes: adaptive (inline cheap queries, session-memoized
-   preparations) and static (everything dispatched to the pool) must be
-   indistinguishable on the wire — and likewise with xomatiq/1
+   to the sequential in-process rendering computed up front (inline cheap
+   queries, session-memoized preparations). The server's answers must not
+   depend on the jobs setting ([jobs]), and likewise with xomatiq/1
    pipelining ([pipelined] sends each session's mix W=8 at a time). *)
-let run_concurrent_differential ?(sched = Conc.Sched.Adaptive)
-    ?(pipelined = false) seed () =
-  Conc.Sched.with_mode sched @@ fun () ->
+let run_concurrent_differential ?(jobs = 1) ?(pipelined = false) seed () =
+  Conc.Pool.with_jobs jobs @@ fun () ->
   with_warehouse seed @@ fun wh u ->
   let mix = Workload.Query_mix.mixed ~seed ~universe:u ~per_class:2 in
   let strategies = [ ("keyword", `Keyword_index); ("like", `Like_scan) ] in
@@ -911,7 +936,9 @@ let () =
         [ Alcotest.test_case "query, sql, explain, metrics, errors" `Quick
             test_server_basics;
           Alcotest.test_case "rejected session option" `Quick
-            test_bad_set_option ] );
+            test_bad_set_option;
+          Alcotest.test_case "SET jobs is an unknown option" `Quick
+            test_set_jobs_unknown ] );
       ( "admission",
         [ Alcotest.test_case "SERVER_BUSY shed + re-admission" `Quick
             test_server_busy;
@@ -952,10 +979,10 @@ let () =
             (run_concurrent_differential 23);
           Alcotest.test_case "8 clients, seed 47 (adaptive)" `Quick
             (run_concurrent_differential 47);
-          Alcotest.test_case "8 clients, seed 11 (static)" `Quick
-            (run_concurrent_differential ~sched:Conc.Sched.Static 11);
-          Alcotest.test_case "8 clients, seed 47 (static)" `Quick
-            (run_concurrent_differential ~sched:Conc.Sched.Static 47);
+          Alcotest.test_case "8 clients, seed 11 (jobs=4)" `Quick
+            (run_concurrent_differential ~jobs:4 11);
+          Alcotest.test_case "8 clients, seed 47 (jobs=4)" `Quick
+            (run_concurrent_differential ~jobs:4 47);
           Alcotest.test_case "8 clients, seed 23 (pipelined W=8)" `Quick
             (run_concurrent_differential ~pipelined:true 23);
           Alcotest.test_case "8 clients, seed 47 (pipelined W=8)" `Quick

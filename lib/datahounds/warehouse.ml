@@ -424,7 +424,7 @@ let harvest_prepared t (s : source) flat_text =
     results
 
 (* ShrubTune: a freshly loaded warehouse should not plan on default
-   statistics. Refreshing stats bumps the catalog version, so cached
+   statistics. Refreshing stats bumps the schema epoch, so cached
    plans self-invalidate. *)
 let analyze_warehouse t =
   List.iter

@@ -2,9 +2,9 @@ type t = {
   tables : (string, Table.t) Hashtbl.t;
   index_owner : (string, string) Hashtbl.t;  (* index name -> table name *)
   stats : (string, Stats.table_stats) Hashtbl.t;  (* table name -> ANALYZE snapshot *)
-  version : int Atomic.t;
-      (* bumped on every DDL / DML / ANALYZE; plan caches key on it.
-         Atomic: stress tests read it from several domains at once. *)
+  epoch : int Atomic.t;
+      (* schema/stats epoch, see the interface. Atomic: stress tests
+         read it from several domains at once. *)
 }
 
 let normalize = String.lowercase_ascii
@@ -13,10 +13,10 @@ let create () =
   { tables = Hashtbl.create 16;
     index_owner = Hashtbl.create 16;
     stats = Hashtbl.create 16;
-    version = Atomic.make 0 }
+    epoch = Atomic.make 0 }
 
-let version t = Atomic.get t.version
-let bump_version t = Atomic.incr t.version
+let epoch t = Atomic.get t.epoch
+let bump_epoch t = Atomic.incr t.epoch
 
 let find_stats t name = Hashtbl.find_opt t.stats (normalize name)
 

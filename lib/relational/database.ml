@@ -133,6 +133,12 @@ let advance_clock t ~txid ~touched =
       else Table.discard_versions tbl ~txid)
     touched;
   t.csn <- c;
+  (* the cache stamps move only once the commit is visible: a reader
+     that takes them before its snapshot (see {!Catalog.epoch}) never
+     holds a stamp newer than its data *)
+  List.iter
+    (fun tbl -> if Table.note_commit tbl then Catalog.bump_epoch t.cat)
+    touched;
   Mutex.unlock t.reg_mutex
 
 let touch txn tbl =
@@ -429,7 +435,7 @@ let do_create_table t ~ddl_sql (ct : Sql_ast.stmt) =
       in
       (match Catalog.add_table t.cat (Table.create ?storage:t.storage schema) with
        | Ok () ->
-         Catalog.bump_version t.cat;
+         Catalog.bump_epoch t.cat;
          log t (Wal.Ddl ddl_sql);
          log_flush t;
          Done (Printf.sprintf "table %s created" name)
@@ -465,7 +471,7 @@ let do_create_index t ~ddl_sql ~name ~table ~columns ~unique ~kind =
   if t.replaying && not t.attaching then Index.clear idx;
   match Catalog.add_index ~attach:t.attaching t.cat ~table idx with
   | Ok () ->
-    Catalog.bump_version t.cat;
+    Catalog.bump_epoch t.cat;
     log t (Wal.Ddl ddl_sql);
     log_flush t;
     Done (Printf.sprintf "index %s created" name)
@@ -485,7 +491,7 @@ let do_analyze t (stmt : Sql_ast.stmt) target =
       Catalog.set_stats t.cat n (Stats.analyze tbl);
       if not (List.mem n t.analyzed) then t.analyzed <- t.analyzed @ [ n ])
     tables;
-  Catalog.bump_version t.cat;
+  Catalog.bump_epoch t.cat;
   (* logged like DDL: replay recomputes statistics from the recovered data *)
   log t (Wal.Ddl (Sql_ast.stmt_to_string stmt));
   log_flush t;
@@ -537,7 +543,6 @@ let rec execute_in (s : session) (stmt : Sql_ast.stmt) : result =
     (try
        lock_table s txn Lock_manager.Exclusive table;
        let n = do_insert t txn ~table ~columns ~rows in
-       Catalog.bump_version t.cat;
        if auto then commit_txn t txn;
        Affected n
      with e ->
@@ -548,7 +553,6 @@ let rec execute_in (s : session) (stmt : Sql_ast.stmt) : result =
     (try
        lock_table s txn Lock_manager.Exclusive table;
        let n = do_delete t txn ~table ~where in
-       Catalog.bump_version t.cat;
        if auto then commit_txn t txn;
        Affected n
      with
@@ -564,7 +568,6 @@ let rec execute_in (s : session) (stmt : Sql_ast.stmt) : result =
     (try
        lock_table s txn Lock_manager.Exclusive table;
        let n = do_update t txn ~table ~assignments ~where in
-       Catalog.bump_version t.cat;
        if auto then commit_txn t txn;
        Affected n
      with
@@ -589,7 +592,7 @@ let rec execute_in (s : session) (stmt : Sql_ast.stmt) : result =
       Option.iter Table.destroy victim;  (* unlink page files (disk mode) *)
       t.analyzed <-
         List.filter (fun n -> n <> Catalog.normalize name) t.analyzed;
-      Catalog.bump_version t.cat;
+      Catalog.bump_epoch t.cat;
       log t (Wal.Ddl (Sql_ast.stmt_to_string dt));
       log_flush t;
       Done (Printf.sprintf "table %s dropped" name)
@@ -601,7 +604,7 @@ let rec execute_in (s : session) (stmt : Sql_ast.stmt) : result =
     let victim = Option.map snd (Catalog.find_index t.cat name) in
     if Catalog.drop_index t.cat name then begin
       Option.iter Index.destroy victim;
-      Catalog.bump_version t.cat;
+      Catalog.bump_epoch t.cat;
       log t (Wal.Ddl (Sql_ast.stmt_to_string di));
       log_flush t;
       Done (Printf.sprintf "index %s dropped" name)
@@ -1027,18 +1030,22 @@ let close t =
 
 (* ---------------- public API ---------------- *)
 
+let exec_in s stmt =
+  try Ok (execute_in s stmt) with
+  | Db_error m -> Error m
+  | Planner.Plan_error m -> Error ("planning: " ^ m)
+  | Executor.Runtime_error m -> Error ("execution: " ^ m)
+  | Failure m -> Error m
+
 let session_exec s sql =
   match Sql_parser.parse sql with
-  | stmt ->
-    (try Ok (execute_in s stmt) with
-     | Db_error m -> Error m
-     | Planner.Plan_error m -> Error ("planning: " ^ m)
-     | Executor.Runtime_error m -> Error ("execution: " ^ m)
-     | Failure m -> Error m)
+  | stmt -> exec_in s stmt
   | exception ((Sql_parser.Parse_error _ | Sql_lexer.Lex_error _) as e) ->
     Error (Sql_parser.error_to_string e)
 
 let exec t sql = session_exec (default t) sql
+
+let exec_stmt t stmt = exec_in (default t) stmt
 
 let session_in_transaction s = s.s_txn <> None
 
@@ -1065,7 +1072,9 @@ let insert_rows t ~table rows =
     let txn, auto = charge s in
     (try
        lock_table s txn Lock_manager.Exclusive table;
-       stash_append t txn tbl;
+       (* an empty batch changes nothing: it must not move the table's
+          commit epoch *)
+       if rows <> [] then stash_append t txn tbl;
        let count = ref 0 in
        List.iter
          (fun row ->
@@ -1079,7 +1088,6 @@ let insert_rows t ~table rows =
              incr count
            | Error m -> error "%s" m)
          rows;
-       Catalog.bump_version t.cat;
        if auto then commit_txn t txn;
        Ok !count
      with e ->
@@ -1146,7 +1154,6 @@ let bulk_load t ~table ~spool ~rows =
                  | Error m -> error "%s" m)
                (Table.scan_range tbl ~lo:first ~hi:(first + !n)))
          (Table.indexes tbl);
-       Catalog.bump_version t.cat;
        if auto then commit_txn t txn;
        Ok !n
      with e ->
@@ -1162,13 +1169,7 @@ let exec_script t script =
     let rec go n = function
       | [] -> Ok n
       | stmt :: rest ->
-        (match
-           try Ok (execute t stmt) with
-           | Db_error m -> Error m
-           | Planner.Plan_error m -> Error ("planning: " ^ m)
-           | Executor.Runtime_error m -> Error ("execution: " ^ m)
-           | Failure m -> Error m
-         with
+        (match exec_stmt t stmt with
          | Ok _ -> go (n + 1) rest
          | Error m -> Error m)
     in
@@ -1293,12 +1294,11 @@ let repl_apply_txn t (ops : Wal.op list) =
         end
       | Wal.Ddl _ | Wal.Begin _ | Wal.Commit _ | Wal.Rollback _ -> ())
     ops;
-  advance_clock t ~txid ~touched:!touched;
-  Catalog.bump_version t.cat
+  advance_clock t ~txid ~touched:!touched
 
 (* Apply a shipped DDL statement. [replaying] suppresses re-logging (the
    raw line was already appended by the shipper) and lock acquisition;
-   the DDL handlers bump the catalog version themselves, which is what
+   the DDL handlers bump the schema epoch themselves, which is what
    invalidates the replica's plan cache. *)
 let repl_apply_ddl t sql =
   t.replaying <- true;

@@ -65,13 +65,18 @@ val catalog : t -> Catalog.t
 val id : t -> int
 (** Process-unique instance serial, assigned at open. Usable as a cheap
     hashtable key standing for the database's physical identity (caches
-    keyed by [(id, Catalog.version)] self-invalidate across DDL/DML). *)
+    keyed by [id] plus {!Catalog.epoch} and the {!Table.commit_epoch}s
+    they read self-invalidate across DDL, ANALYZE and commits). *)
 
 val exec : t -> string -> (result, string) Stdlib.result
 (** Execute one SQL statement. *)
 
 val exec_exn : t -> string -> result
 (** @raise Failure with the error message. *)
+
+val exec_stmt : t -> Sql_ast.stmt -> (result, string) Stdlib.result
+(** {!exec} of an already-parsed statement, with the same error
+    mapping. *)
 
 val query : t -> string -> (string list * Value.t array list, string) Stdlib.result
 (** Run a SELECT; returns (column names, rows). *)
@@ -171,11 +176,13 @@ val repl_append_lines : t -> string list -> unit
 val repl_apply_txn : t -> Wal.op list -> unit
 (** Replica side: apply one shipped committed transaction (its data
     operations in stream order; control records are ignored).
-    Idempotent, like recovery replay. Bumps the catalog version so
-    cached plans re-validate.
+    Idempotent, like recovery replay. Commits through the same clock as
+    a local transaction: the commit epoch of every table it changed
+    moves (and the schema epoch, when a row count crosses a power of
+    two), so caches over those tables re-validate.
     @raise Failure when the stream contradicts local state. *)
 
 val repl_apply_ddl : t -> string -> unit
 (** Replica side: apply one shipped DDL statement (without re-logging
-    it). Bumps the catalog version.
+    it). Bumps the schema epoch.
     @raise Failure on a malformed statement. *)

@@ -58,6 +58,11 @@ type t = {
      this latch; lock order is [vmutex] then [smutex], never the
      reverse. *)
   smutex : Mutex.t;
+  (* Commit stamps, written only by {!note_commit}: [epoch] counts the
+     commits that touched the table, [count_bits] is the bit length of
+     its row count at the last of them. *)
+  epoch : int Atomic.t;
+  mutable count_bits : int;
 }
 
 let pkey_index ?storage (schema : Schema.t) =
@@ -86,12 +91,23 @@ let create ?storage schema =
     row_cache = Hashtbl.create 64; row_cache_cap = cache_cap;
     vmutex = Mutex.create (); vcount = 0;
     versions = Hashtbl.create 16; len_versions = [];
-    smutex = Mutex.create () }
+    smutex = Mutex.create (); epoch = Atomic.make 0; count_bits = 0 }
 
 let schema t = t.schema
 
 let row_count t =
   match t.store with Mem _ -> t.live | Disk h -> Heapfile.live h
+
+let commit_epoch t = Atomic.get t.epoch
+
+let rec bit_length n = if n = 0 then 0 else 1 + bit_length (n lsr 1)
+
+let note_commit t =
+  Atomic.incr t.epoch;
+  let bits = bit_length (row_count t) in
+  let crossed = bits <> t.count_bits in
+  t.count_bits <- bits;
+  crossed
 
 let next_rowid t =
   match t.store with Mem v -> Vector.length v | Disk h -> Heapfile.next_rowid h

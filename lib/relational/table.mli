@@ -20,6 +20,18 @@ val row_count : t -> int
 val next_rowid : t -> int
 (** The rowid the next insert will receive (= slots ever allocated). *)
 
+val commit_epoch : t -> int
+(** Monotonic per-table stamp: the number of commits that changed the
+    table since it was created. A cache of values computed from this
+    table's rows keys on it (see {!Catalog.epoch} for the ordering
+    rule). *)
+
+val note_commit : t -> bool
+(** Called by the commit clock once per touched table, after the commit
+    is visible: bumps {!commit_epoch} and returns [true] when the row
+    count has crossed a power of two since the previous call (the
+    caller then bumps {!Catalog.epoch}). *)
+
 val insert : t -> Value.t array -> (int, string) result
 (** Validates against the schema and all unique indexes; returns the new
     row id. On error nothing is modified. *)

@@ -123,14 +123,17 @@ let render_request t kind text =
        statement-level locking inside the database serializes writers. *)
     if t.cfg.read_only && not (P.stmt_is_read stmt) then
       raise Read_only_violation;
-    match Rdb.Database.exec_exn (Datahounds.Warehouse.db t.wh) text with
-    | Rdb.Database.Rows { columns; rows } ->
+    match Rdb.Database.exec_stmt (Datahounds.Warehouse.db t.wh) stmt with
+    | Ok (Rdb.Database.Rows { columns; rows }) ->
       (values_to_table columns rows, List.length rows, false)
-    | Rdb.Database.Affected n ->
+    | Ok (Rdb.Database.Affected n) ->
       (Printf.sprintf "%d row(s) affected\n" n, n, false)
-    | Rdb.Database.Done msg -> (msg ^ "\n", 0, false)
-    | Rdb.Database.Explained s -> (s ^ "\n", 0, false)
-    | exception Failure m -> raise (Xomatiq.Engine.Query_error m)
+    | Ok (Rdb.Database.Done msg) -> (msg ^ "\n", 0, false)
+    | Ok (Rdb.Database.Explained s) -> (s ^ "\n", 0, false)
+    | Error m ->
+      raise
+        (Xomatiq.Engine.Query_error
+           (Printf.sprintf "SQL failed (%s): %s" text m))
   end
   | (`Explain | `Analyze) as k -> begin
     match Xomatiq.Parser.parse text with

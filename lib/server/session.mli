@@ -20,8 +20,8 @@ type t = {
   mutable prep : (string * Xomatiq.Engine.prepared_text) option;
       (** session-pinned preparation of the last Query text: a client
           re-running its hot query skips the plan-cache mutex and
-          hashtable (revalidated against the catalog version and the
-          plan-shaping toggles on every use) *)
+          hashtable (revalidated against the translation stamp and
+          the plan-shaping toggles on every use) *)
 }
 
 val create : id:int -> t

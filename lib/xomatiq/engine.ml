@@ -75,14 +75,17 @@ let empty_trace ~parse_s ~xq2sql_s =
 
    Queries on the untraced relational path skip the whole
    parse / XQ2SQL / SQL-parse / plan pipeline when the same text was
-   translated before against the same warehouse and catalog version.
-   The version stamp (bumped by every DDL, DML and ANALYZE) makes
-   entries self-invalidating: a stale entry simply fails the guard and
-   is re-translated and replaced on the next lookup. *)
+   translated before against the same warehouse and translation stamp
+   ({!Xq2sql.stamp}: the schema/stats epoch, bumped by DDL, ANALYZE and
+   row counts crossing a power of two, plus [xml_path]'s commit epoch —
+   [ce_sql] embeds path ids, and nothing else is read at translation
+   time). Other DML keeps the entries: MVCC snapshots make results
+   independent of the plan. A stale entry simply fails the guard and is
+   re-translated and replaced on the next lookup. *)
 
 type cache_entry = {
   ce_wh : Datahounds.Warehouse.t;
-  ce_version : int;             (* catalog version at translation time *)
+  ce_stamp : int * int;         (* Xq2sql.stamp at translation time *)
   ce_labels : string list;
   ce_sql : string;
   ce_plan : Rdb.Planner.planned option;  (* None when statically empty *)
@@ -133,8 +136,19 @@ let strategy_tag strategy =
     (if Rdb.Planner.structural_enabled () then 1 else 0)
     (if Rdb.Rewrite.enabled () then 1 else 0)
 
-let catalog_version wh =
-  Rdb.Catalog.version (Rdb.Database.catalog (Datahounds.Warehouse.db wh))
+let stamp wh = Xq2sql.stamp (Datahounds.Warehouse.db wh)
+
+(* One counted lookup: the entry under [key], if it was made for [wh]
+   at [stamp]. *)
+let lookup key wh stamp =
+  locked (fun () ->
+      match Hashtbl.find_opt plan_cache key with
+      | Some e when e.ce_wh == wh && e.ce_stamp = stamp ->
+        incr cache_hits;
+        Some e
+      | _ ->
+        incr cache_misses;
+        None)
 
 (* Parse and plan the translated SQL via the plan cache, keyed by the
    generated SQL text: programmatic (AST-entry) runs of the same query
@@ -142,17 +156,8 @@ let catalog_version wh =
 let planned_of_sql ~strategy wh sql =
   let db = Datahounds.Warehouse.db wh in
   let key = (normalize_query_text sql, strategy_tag strategy) in
-  let version = catalog_version wh in
-  let hit =
-    locked (fun () ->
-        match Hashtbl.find_opt plan_cache key with
-        | Some e when e.ce_wh == wh && e.ce_version = version ->
-          incr cache_hits;
-          Some e
-        | _ ->
-          incr cache_misses;
-          None)
-  in
+  let stamp = stamp wh in
+  let hit = lookup key wh stamp in
   match hit with
   | Some { ce_plan = Some planned; _ } -> (planned, true)
   | _ ->
@@ -169,7 +174,7 @@ let planned_of_sql ~strategy wh sql =
         -> error "internal: %s" (Rdb.Sql_parser.error_to_string e)
     in
     let e =
-      { ce_wh = wh; ce_version = version; ce_labels = []; ce_sql = sql;
+      { ce_wh = wh; ce_stamp = stamp; ce_labels = []; ce_sql = sql;
         ce_plan = Some planned }
     in
     locked (fun () -> Hashtbl.replace plan_cache key e);
@@ -290,7 +295,7 @@ let run_cache_entry ?cancel ~cached e =
 (* Parse, translate and plan [text] into a fresh cache entry (no cache
    interaction). Shared by the run-and-populate path and the server's
    prepare path. *)
-let entry_of_text ~contains_strategy ~version wh text =
+let entry_of_text ~contains_strategy ~stamp wh text =
   let q =
     match Parser.parse text with
     | q -> q
@@ -314,26 +319,17 @@ let entry_of_text ~contains_strategy ~version wh text =
       | exception ((Rdb.Sql_parser.Parse_error _ | Rdb.Sql_lexer.Lex_error _) as e)
         -> error "internal: %s" (Rdb.Sql_parser.error_to_string e)
   in
-  { ce_wh = wh; ce_version = version; ce_labels = t.labels; ce_sql = t.sql;
+  { ce_wh = wh; ce_stamp = stamp; ce_labels = t.labels; ce_sql = t.sql;
     ce_plan }
 
 let run_text_cached ?cancel ~contains_strategy wh text =
   let key = (normalize_query_text text, strategy_tag contains_strategy) in
-  let version = catalog_version wh in
-  let hit =
-    locked (fun () ->
-        match Hashtbl.find_opt plan_cache key with
-        | Some e when e.ce_wh == wh && e.ce_version = version ->
-          incr cache_hits;
-          Some e
-        | _ ->
-          incr cache_misses;
-          None)
-  in
+  let stamp = stamp wh in
+  let hit = lookup key wh stamp in
   match hit with
   | Some e -> run_cache_entry ?cancel ~cached:true e
   | None ->
-    let e = entry_of_text ~contains_strategy ~version wh text in
+    let e = entry_of_text ~contains_strategy ~stamp wh text in
     let r = run_cache_entry ?cancel ~cached:false e in
     (* only successful translations+executions are cached *)
     locked (fun () -> Hashtbl.replace plan_cache key e);
@@ -413,21 +409,12 @@ type prepared_text = {
 let prepare_text ~contains_strategy wh text =
   let tag = strategy_tag contains_strategy in
   let key = (normalize_query_text text, tag) in
-  let version = catalog_version wh in
-  let hit =
-    locked (fun () ->
-        match Hashtbl.find_opt plan_cache key with
-        | Some e when e.ce_wh == wh && e.ce_version = version ->
-          incr cache_hits;
-          Some e
-        | _ ->
-          incr cache_misses;
-          None)
-  in
+  let stamp = stamp wh in
+  let hit = lookup key wh stamp in
   match hit with
   | Some e -> { pt_entry = e; pt_tag = tag; pt_hit = true }
   | None ->
-    let e = entry_of_text ~contains_strategy ~version wh text in
+    let e = entry_of_text ~contains_strategy ~stamp wh text in
     locked (fun () -> Hashtbl.replace plan_cache key e);
     { pt_entry = e; pt_tag = tag; pt_hit = false }
 
@@ -438,12 +425,12 @@ let prepared_cost pt =
   | Some planned -> planned.Rdb.Planner.est_cost
   | None -> 0.
 
-(* A memoized preparation stays valid while the warehouse, its catalog
-   version and every plan-shaping toggle (strategy/structural/vec, all
+(* A memoized preparation stays valid while the warehouse, its
+   translation stamp and every plan-shaping toggle (strategy/structural/vec, all
    folded into the tag) are unchanged. *)
 let prepared_valid ~contains_strategy wh pt =
   pt.pt_entry.ce_wh == wh
-  && pt.pt_entry.ce_version = catalog_version wh
+  && pt.pt_entry.ce_stamp = stamp wh
   && pt.pt_tag = strategy_tag contains_strategy
 
 let run_prepared_text ?cancel ~cached pt =

@@ -62,8 +62,11 @@ val run_text :
     On the untraced relational path, translated plans are cached: the
     cache key is the whitespace-normalized query text plus the
     contains-strategy, and an entry is valid only for the same warehouse
-    at the same catalog version — any DDL, DML or ANALYZE bumps the
-    version and so invalidates every cached plan for that warehouse. *)
+    at the same {!Xq2sql.stamp}. DDL, ANALYZE, a row count crossing a
+    power of two, or a commit that changes [xml_path] invalidates every
+    cached plan for that warehouse; other DML (a document load that adds
+    no new path included) keeps them — each run still reads a fresh
+    MVCC snapshot. *)
 
 val cache_stats : unit -> int * int
 (** [(hits, misses)] of the translated-plan cache since start (or the
@@ -123,9 +126,9 @@ val prepared_cost : prepared_text -> float
 val prepared_valid :
   contains_strategy:Xq2sql.contains_strategy ->
   Datahounds.Warehouse.t -> prepared_text -> bool
-(** True while the preparation still matches this warehouse, its catalog
-    version, and every plan-shaping toggle (strategy, structural join,
-    vectorization). *)
+(** True while the preparation still matches this warehouse, its
+    {!Xq2sql.stamp}, and every plan-shaping toggle (strategy, structural
+    join, vectorization). *)
 
 val run_prepared_text :
   ?cancel:Rdb.Cancel.t -> cached:bool -> prepared_text -> result

@@ -72,17 +72,30 @@ let add_conj st c = st.conjuncts <- c :: st.conjuncts
 
 (* Every structural step in a translation re-resolves its path pattern
    with a full scan over [xml_path] ({!Datahounds.Shred.path_ids_matching}).
-   The matching id set only changes when documents are loaded or dropped —
-   and both bump the catalog version — so resolutions are memoized per
-   (database, catalog version, pattern). A stale entry simply fails the
-   version guard and is recomputed and replaced in place, exactly like the
-   engine's translated-plan cache. Process-global + mutex because the
-   stress tests translate from several domains at once. *)
+   The matching id set changes only when a commit changes [xml_path], and
+   its meaning only when the schema does, so resolutions are memoized per
+   (database, pattern) under the translation stamp. A stale entry simply
+   fails the stamp guard and is recomputed and replaced in place, exactly
+   like the engine's translated-plan cache. Process-global + mutex because
+   the stress tests translate from several domains at once. *)
+
+(* Everything a translation reads besides its own text: the schema/stats
+   epoch and [xml_path]'s commit epoch. The schema epoch also covers a
+   dropped and re-created [xml_path], whose commit epoch restarts at 0.
+   Read it before the snapshot the cached value comes from (see
+   {!Rdb.Catalog.epoch}). *)
+let stamp db =
+  let cat = Rdb.Database.catalog db in
+  ( Rdb.Catalog.epoch cat,
+    match Rdb.Catalog.find_table cat "xml_path" with
+    | Some tbl -> Rdb.Table.commit_epoch tbl
+    | None -> -1 )
 
 let path_cache_lock = Mutex.create ()
 
-(* (Database.id, rendered pattern) -> (catalog version, path_ids) *)
-let path_cache : (int * string, int * int list) Hashtbl.t = Hashtbl.create 64
+(* (Database.id, rendered pattern) -> (stamp, path_ids) *)
+let path_cache : (int * string, (int * int) * int list) Hashtbl.t =
+  Hashtbl.create 64
 
 let path_cache_hits = Rdb.Obs.Counter.create ()
 let path_cache_misses = Rdb.Obs.Counter.create ()
@@ -107,12 +120,12 @@ let path_cache_clear () =
       Rdb.Obs.Counter.reset path_cache_misses)
 
 let path_ids_cached db (pattern : Gxml.Path.t) =
-  let version = Rdb.Catalog.version (Rdb.Database.catalog db) in
+  let stamp = stamp db in
   let key = (Rdb.Database.id db, Gxml.Path.to_string pattern) in
   let cached =
     path_locked (fun () ->
         match Hashtbl.find_opt path_cache key with
-        | Some (v, ids) when v = version ->
+        | Some (s, ids) when s = stamp ->
           Rdb.Obs.Counter.incr path_cache_hits;
           Some ids
         | _ ->
@@ -123,7 +136,7 @@ let path_ids_cached db (pattern : Gxml.Path.t) =
   | Some ids -> ids
   | None ->
     let ids = Datahounds.Shred.path_ids_matching db pattern in
-    path_locked (fun () -> Hashtbl.replace path_cache key (version, ids));
+    path_locked (fun () -> Hashtbl.replace path_cache key (stamp, ids));
     ids
 
 let path_id_condition st alias (absolute_path : Gxml.Path.t) =

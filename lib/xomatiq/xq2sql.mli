@@ -48,11 +48,19 @@ val translate :
 (** @raise Unsupported on untranslatable queries,
     @raise Ast.Invalid_query on invalid ones. *)
 
+val stamp : Rdb.Database.t -> int * int
+(** The translation stamp: {!Rdb.Catalog.epoch} paired with the
+    {!Rdb.Table.commit_epoch} of [xml_path], the only table a
+    translation reads. A translation (its SQL, its path ids, its plan)
+    cached under a stamp stays valid while the stamp is unchanged. Read
+    it before translating. *)
+
 val path_cache_stats : unit -> int * int
 (** [(hits, misses)] of the path-id resolution cache: path patterns are
-    resolved against [xml_path] once per (database, catalog version,
-    pattern) and memoized; loading or dropping documents bumps the
-    catalog version and self-invalidates the affected entries. *)
+    resolved against [xml_path] once per (database, {!stamp}, pattern)
+    and memoized. A commit that adds paths, or DDL and ANALYZE,
+    self-invalidates the entries; a document load that adds no new path
+    keeps them. *)
 
 val path_cache_clear : unit -> unit
 (** Drop all memoized path resolutions and reset {!path_cache_stats}. *)

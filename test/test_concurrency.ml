@@ -1,6 +1,6 @@
 (* Multicore XomatiQ: the domain pool itself, the server's query
    scheduler, parallel Data Hounds loading, and domain-safety of the
-   shared engine state (plan cache, Obs counters, catalog version). *)
+   shared engine state (plan cache, Obs counters, catalog epochs). *)
 
 let check = Alcotest.check
 

@@ -233,7 +233,7 @@ let test_ship_and_apply () =
   check Alcotest.string "caught-up replica is byte-identical"
     (dump primary acc_tables) (dump replica_db acc_tables);
   (* shipped DDL + DML: a new table appears and fills on the replica,
-     and its catalog version bump re-validates any cached plan *)
+     and its schema epoch bump re-validates any cached plan *)
   exec primary "CREATE TABLE extra (id INTEGER PRIMARY KEY, w TEXT)";
   exec primary "INSERT INTO extra VALUES (1, 'shipped')";
   exec primary "UPDATE acc SET bal = bal + 1 WHERE bal > 300";
@@ -561,6 +561,78 @@ let test_routed_reads_and_read_only () =
       "SELECT COUNT(1) FROM routed_t WHERE v > 4";
       "SELECT id, v FROM routed_t WHERE id = 3" ]
 
+(* Plan caching on a replica. Cached translations key on the schema
+   epoch plus xml_path's commit epoch, so shipped writes to an unrelated
+   table keep the replica's plans (each read still takes a fresh
+   snapshot), while a shipped document load that adds a path moves
+   xml_path's commit epoch and the next read translates again and
+   returns the new document. *)
+let test_replica_plan_cache () =
+  with_temp_dir @@ fun dir ->
+  let module Wh = Datahounds.Warehouse in
+  let wh_p = Wh.create ~wal:(Filename.concat dir "p.wal") () in
+  let wh_r = Wh.create ~wal:(Filename.concat dir "r.wal") () in
+  let db_p = Wh.db wh_p in
+  let prim = Repl.Primary.start ~port:0 db_p in
+  let rep =
+    Repl.Replica.start ~host:"127.0.0.1" ~port:(Repl.Primary.port prim)
+      (Wh.db wh_r)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Repl.Replica.stop rep;
+      Repl.Primary.stop prim;
+      Wh.close wh_r;
+      Wh.close wh_p)
+  @@ fun () ->
+  let load ec comments =
+    let e : Datahounds.Enzyme.t =
+      { ec_number = ec; description = "replica cache enzyme";
+        alternate_names = []; catalytic_activities = [ "A ketone reaction" ];
+        cofactors = []; comments; prosite_refs = []; swissprot_refs = [];
+        diseases = [] }
+    in
+    match
+      Wh.load_document wh_p ~collection:"hlx_enzyme.DEFAULT"
+        ~name:(Datahounds.Enzyme_xml.document_name e)
+        (Datahounds.Enzyme_xml.to_document e)
+    with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "load %s: %s" ec m
+  in
+  load "1.1.1.1" [];
+  exec db_p "CREATE TABLE side (k INTEGER PRIMARY KEY, v INTEGER)";
+  exec db_p "INSERT INTO side VALUES (1, 0), (2, 0)";
+  wait_caught_up db_p rep;
+  let ids = {|FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme RETURN $a//enzyme_id|}
+  and comments = {|FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme RETURN $a//comment|} in
+  let run q = Xomatiq.Engine.run_text wh_r q in
+  ignore (run ids);
+  check Alcotest.bool "warm replica hits" true (run ids).cached;
+  check Alcotest.(list (list string)) "no comment path yet" [] (run comments).rows;
+  (* shipped writes to an unrelated table, row count within [2, 3] *)
+  for i = 1 to 5 do
+    exec db_p (Printf.sprintf "UPDATE side SET v = %d WHERE k = 1" i);
+    wait_caught_up db_p rep;
+    let r = run ids in
+    check Alcotest.bool (Printf.sprintf "hit after shipped write %d" i) true
+      r.cached;
+    check Alcotest.(list (list string)) "rows unchanged" [ [ "1.1.1.1" ] ] r.rows
+  done;
+  exec db_p "INSERT INTO side VALUES (3, 0)";
+  exec db_p "DELETE FROM side WHERE k = 3";
+  wait_caught_up db_p rep;
+  check Alcotest.bool "hit after shipped INSERT and DELETE" true (run ids).cached;
+  (* a shipped document load that adds the comment paths *)
+  load "2.2.2.2" [ "shipped comment" ];
+  wait_caught_up db_p rep;
+  let r = run comments in
+  check Alcotest.bool "new path re-translates" false r.cached;
+  check Alcotest.(list (list string)) "new document visible on the replica"
+    [ [ "shipped comment" ] ] r.rows;
+  check Alcotest.(list (list string)) "both documents"
+    [ [ "1.1.1.1" ]; [ "2.2.2.2" ] ] (run ids).rows
+
 (* ================================================================== *)
 
 let () =
@@ -584,7 +656,9 @@ let () =
           Alcotest.test_case "re-apply is idempotent" `Quick
             test_reapply_is_idempotent;
           Alcotest.test_case "replica restart resumes mid-stream" `Quick
-            test_replica_restart_resumes ] );
+            test_replica_restart_resumes;
+          Alcotest.test_case "replica plan cache across shipped writes"
+            `Quick test_replica_plan_cache ] );
       ( "truncation",
         [ Alcotest.test_case "checkpoint gated by replica acks" `Quick
             test_truncation_gated_by_replica ] );
